@@ -9,7 +9,7 @@ from .autodiff import (
     is_holomorphic_numeric,
     wirtinger_pair_numeric,
 )
-from .complex_ops import abs_arg, make_rng, sample_circular_gaussian
+from .complex_ops import make_rng, sample_circular_gaussian
 from .datagen import (
     DatasetBundle,
     DatasetKind,
@@ -54,7 +54,6 @@ __all__ = [
     "TrialResult",
     "Var",
     "WaveformSpec",
-    "abs_arg",
     "backward",
     "backward_dual",
     "compose_pairs",

@@ -1,8 +1,14 @@
 """Reverse-mode differentiation for complex-valued computation graphs.
 
-Every differentiable quantity is a Var wrapping a complex128 array. An op
-producing a Var records an emission closure that encodes the op's two
+Every differentiable quantity is a Var wrapping a complex128 array. Every
+node is built by one builder, _node(), from the op's operands and one
+contribution rule per operand; together the rules encode the op's two
 Wirtinger Jacobians J = dF/dz and Jc = dF/d(conj z) as matrix-free products.
+Operands that are Vars become the node's parents. Plain arrays are
+constants: they get no parent edge, no emission and no cogradient, so data
+fed to a model costs nothing in backward(). An elementwise op has exactly
+one derivative, the (J, Jc) pair of its REGISTRY entry; graph nodes,
+gradcheck and the materialized pairs all evaluate that same pair.
 
 backward() propagates a single channel, the conjugate cogradient
 delta = dL/d(conj z), in reverse topological order. Given the accumulated
@@ -64,11 +70,13 @@ class Var:
     grad:  conjugate cogradient dL/d(conj z), filled in by backward().
     emit:  closure (gamma, delta) -> per-parent contributions, or None
            for leaves. gamma plays the role of dL/dz on the output wire.
+
+    Var(value) makes a leaf; every other node comes from _node().
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "emit", "holomorphic")
+    __slots__ = ("value", "grad", "op", "parents", "emit")
 
-    def __init__(self, value, op="leaf", parents=(), emit=None, holomorphic=False):
+    def __init__(self, value, op="leaf", parents=(), emit=None):
         self.value = np.asarray(value, dtype=COMPLEX)
         if op == "leaf":
             ensure_finite(self.value, "leaf value")
@@ -76,7 +84,6 @@ class Var:
         self.op = op
         self.parents = tuple(parents)
         self.emit = emit
-        self.holomorphic = holomorphic
 
     @property
     def shape(self):
@@ -113,8 +120,25 @@ class Var:
         return conj(self)
 
 
-def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
+def _value(x) -> np.ndarray:
+    return x.value if isinstance(x, Var) else np.asarray(x, dtype=COMPLEX)
+
+
+def _node(value, op: str, operands: Sequence, rules: Sequence[Callable]) -> Var:
+    """The one node builder: every non-leaf Var of the engine is made here.
+
+    rules[k](gamma, delta) is the contribution the op pushes to operands[k].
+    Operands that are Vars become the node's parents. Any other operand is
+    a constant: it gets no parent edge, its rule is never run and it has no
+    cogradient.
+    """
+    live = [(x, rule) for x, rule in zip(operands, rules) if isinstance(x, Var)]
+    live_rules = [rule for _, rule in live]
+
+    def emit(gamma, delta):
+        return tuple(rule(gamma, delta) for rule in live_rules)
+
+    return Var(value, op, [x for x, _ in live], emit)
 
 
 def _unbroadcast(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -133,103 +157,73 @@ def _unbroadcast(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 def add(x, y) -> Var:
-    x, y = as_var(x), as_var(y)
-    value = x.value + y.value
-    xs, ys = x.value.shape, y.value.shape
-
-    def emit(gamma, delta):
-        return _unbroadcast(delta, xs), _unbroadcast(delta, ys)
-
-    return Var(value, "add", (x, y), emit, holomorphic=True)
+    xv, yv = _value(x), _value(y)
+    xs, ys = xv.shape, yv.shape
+    return _node(xv + yv, "add", (x, y), (
+        lambda gamma, delta: _unbroadcast(delta, xs),
+        lambda gamma, delta: _unbroadcast(delta, ys),
+    ))
 
 
 def neg(x) -> Var:
-    x = as_var(x)
-
-    def emit(gamma, delta):
-        return (-delta,)
-
-    return Var(-x.value, "neg", (x,), emit, holomorphic=True)
+    return _node(-_value(x), "neg", (x,), (lambda gamma, delta: -delta,))
 
 
 def sub(x, y) -> Var:
-    x, y = as_var(x), as_var(y)
-    value = x.value - y.value
-    xs, ys = x.value.shape, y.value.shape
-
-    def emit(gamma, delta):
-        return _unbroadcast(delta, xs), _unbroadcast(-delta, ys)
-
-    return Var(value, "sub", (x, y), emit, holomorphic=True)
+    xv, yv = _value(x), _value(y)
+    xs, ys = xv.shape, yv.shape
+    return _node(xv - yv, "sub", (x, y), (
+        lambda gamma, delta: _unbroadcast(delta, xs),
+        lambda gamma, delta: _unbroadcast(-delta, ys),
+    ))
 
 
 def mul(x, y) -> Var:
     """Elementwise (Hadamard) product; holomorphic in each operand."""
-    x, y = as_var(x), as_var(y)
-    value = x.value * y.value
-    xv, yv = x.value, y.value
-
-    def emit(gamma, delta):
-        return (
-            _unbroadcast(delta * np.conj(yv), xv.shape),
-            _unbroadcast(delta * np.conj(xv), yv.shape),
-        )
-
-    return Var(value, "mul", (x, y), emit, holomorphic=True)
-
-
-def scale(x, c: complex) -> Var:
-    x = as_var(x)
-    c = complex(c)
-
-    def emit(gamma, delta):
-        return (delta * np.conj(c),)
-
-    return Var(x.value * c, "scale", (x,), emit, holomorphic=True)
+    xv, yv = _value(x), _value(y)
+    return _node(xv * yv, "mul", (x, y), (
+        lambda gamma, delta: _unbroadcast(delta * np.conj(yv), xv.shape),
+        lambda gamma, delta: _unbroadcast(delta * np.conj(xv), yv.shape),
+    ))
 
 
 def matmul(x, y) -> Var:
-    x, y = as_var(x), as_var(y)
-    xv, yv = x.value, y.value
+    xv, yv = _value(x), _value(y)
     if xv.ndim != 2 or yv.ndim != 2:
         raise DimensionError(f"matmul needs 2-d operands, got {xv.shape} and {yv.shape}")
     if xv.shape[1] != yv.shape[0]:
         raise DimensionError(f"matmul inner extents disagree: {xv.shape} x {yv.shape}")
-    value = xv @ yv
+    return _node(xv @ yv, "matmul", (x, y), (
+        lambda gamma, delta: delta @ np.conj(yv).T,
+        lambda gamma, delta: np.conj(xv).T @ delta,
+    ))
 
-    def emit(gamma, delta):
-        return delta @ np.conj(yv).T, np.conj(xv).T @ delta
 
-    return Var(value, "matmul", (x, y), emit, holomorphic=True)
+def elementwise(x, name: str) -> Var:
+    """Apply a registered elementwise op as a graph node.
+
+    The registry pair, evaluated at the input and the cached output, is the
+    op's only derivative.
+    """
+    op = REGISTRY[name]
+    xv = _value(x)
+    y = np.asarray(op.fn(xv), dtype=COMPLEX)
+
+    if op.holomorphic:
+        def rule(gamma, delta):
+            j, _ = op.pair(xv, y)
+            return delta * np.conj(j)
+    else:
+        def rule(gamma, delta):
+            j, jc = op.pair(xv, y)
+            return gamma * jc + delta * np.conj(j)
+
+    return _node(y, name, (x,), (rule,))
 
 
 def conj(x) -> Var:
     """Complex conjugate as a graph node: J = 0, Jc = 1."""
-    x = as_var(x)
-
-    def emit(gamma, delta):
-        return (gamma,)
-
-    return Var(np.conj(x.value), "conj", (x,), emit)
-
-
-def elementwise(x, name: str) -> Var:
-    """Apply a registered elementwise op as a graph node."""
-    x = as_var(x)
-    op = REGISTRY[name]
-    value = op.fn(x.value)
-    xv = x.value
-
-    if op.holomorphic:
-        def emit(gamma, delta):
-            j, _ = op.pair(xv)
-            return (delta * np.conj(j),)
-    else:
-        def emit(gamma, delta):
-            j, jc = op.pair(xv)
-            return (gamma * jc + delta * np.conj(j),)
-
-    return Var(value, name, (x,), emit, holomorphic=op.holomorphic)
+    return elementwise(x, "conj")
 
 
 def sum_abs2(x) -> Var:
@@ -237,14 +231,9 @@ def sum_abs2(x) -> Var:
 
     As the root (seeded with (1, 0)) the emitted cogradient is exactly z.
     """
-    x = as_var(x)
-    xv = x.value
+    xv = _value(x)
     value = np.sum(xv.real ** 2 + xv.imag ** 2)
-
-    def emit(gamma, delta):
-        return ((gamma + delta) * xv,)
-
-    return Var(value, "sum_abs2", (x,), emit)
+    return _node(value, "sum_abs2", (x,), (lambda gamma, delta: (gamma + delta) * xv,))
 
 
 def mse(pred, target, n_dof: int) -> Var:
@@ -254,19 +243,15 @@ def mse(pred, target, n_dof: int) -> Var:
     two when complex- and real-valued predictors are compared. The emitted
     cogradient at the root is e / n_dof.
     """
-    pred = as_var(pred)
+    pv = _value(pred)
     t = np.asarray(target, dtype=COMPLEX)
-    if pred.value.shape != t.shape:
-        raise DimensionError(f"prediction shape {pred.value.shape} != target shape {t.shape}")
+    if pv.shape != t.shape:
+        raise DimensionError(f"prediction shape {pv.shape} != target shape {t.shape}")
     if n_dof <= 0:
         raise ValueError(f"n_dof must be positive, got {n_dof}")
-    e = pred.value - t
+    e = pv - t
     value = np.sum(e.real ** 2 + e.imag ** 2) / n_dof
-
-    def emit(gamma, delta):
-        return ((gamma + delta) * (e / n_dof),)
-
-    return Var(value, "mse", (pred,), emit)
+    return _node(value, "mse", (pred,), (lambda gamma, delta: (gamma + delta) * (e / n_dof),))
 
 
 # ---------------------------------------------------------------------------
@@ -331,8 +316,6 @@ def backward(root: Var, seed: float = 1.0) -> dict[Var, np.ndarray]:
             continue
         contribs = node.emit(gamma, delta)
         for parent, c in zip(node.parents, contribs):
-            if c is None:
-                continue
             if not np.all(np.isfinite(c)):
                 raise NumericError(f"non-finite gradient emitted by node '{node.op}'")
             prev = deltas.get(id(parent))
@@ -377,17 +360,12 @@ def backward_dual(
         if node.emit is None:
             continue
         d_contribs = node.emit(gamma, delta)
-        g_contribs = tuple(
-            None if c is None else np.conj(c)
-            for c in node.emit(np.conj(delta), np.conj(gamma))
-        )
+        g_contribs = [np.conj(c) for c in node.emit(np.conj(delta), np.conj(gamma))]
         for parent, dc, gc in zip(node.parents, d_contribs, g_contribs):
-            if dc is not None:
-                prev = deltas.get(id(parent))
-                deltas[id(parent)] = dc if prev is None else prev + dc
-            if gc is not None:
-                prev = gammas.get(id(parent))
-                gammas[id(parent)] = gc if prev is None else prev + gc
+            prev = deltas.get(id(parent))
+            deltas[id(parent)] = dc if prev is None else prev + dc
+            prev = gammas.get(id(parent))
+            gammas[id(parent)] = gc if prev is None else prev + gc
     return store
 
 
@@ -490,13 +468,16 @@ def is_holomorphic_numeric(
 class ElementwiseOp:
     """A scalar op applied elementwise, with its analytic derivative pair.
 
-    pair(z) returns the elementwise (J, Jc) diagonals. probe_radius bounds
-    |z| for random test probes so they stay clear of singularities.
+    pair(z, y) returns the elementwise (J, Jc) diagonals at input z, given
+    the forward output y = fn(z), so an op may write its derivative in
+    terms of the value it already computed. A holomorphic op may return a
+    scalar 0 for Jc. probe_radius bounds |z| for random test probes so they
+    stay clear of singularities.
     """
 
     name: str
     fn: Callable[[np.ndarray], np.ndarray]
-    pair: Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+    pair: Callable[[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]
     holomorphic: bool
     probe_radius: float = 2.0
 
@@ -513,26 +494,27 @@ def register_op(op: ElementwiseOp) -> ElementwiseOp:
 
 def pair_at(name: str, z) -> JacobianPair:
     """Materialized (diagonal) Jacobian pair of a registered op at z."""
+    op = REGISTRY[name]
     z = np.asarray(z, dtype=COMPLEX)
-    j_el, jc_el = REGISTRY[name].pair(z)
+    j_el, jc_el = op.pair(z, op.fn(z))
     j_el = np.broadcast_to(np.asarray(j_el, dtype=COMPLEX), z.shape)
     jc_el = np.broadcast_to(np.asarray(jc_el, dtype=COMPLEX), z.shape)
     return JacobianPair(np.diag(j_el.ravel()), np.diag(jc_el.ravel()))
 
 
-def _ones_zeros(z):
+def _ones_zeros(z, y):
     return np.ones_like(z), np.zeros_like(z)
 
 
 register_op(ElementwiseOp("linear", lambda z: z.copy(), _ones_zeros, holomorphic=True))
 
 register_op(
-    ElementwiseOp("square", lambda z: z * z, lambda z: (2 * z, np.zeros_like(z)), holomorphic=True)
+    ElementwiseOp("square", lambda z: z * z, lambda z, y: (2 * z, np.zeros_like(z)), holomorphic=True)
 )
 
 register_op(
     ElementwiseOp(
-        "conj", np.conj, lambda z: (np.zeros_like(z), np.ones_like(z)), holomorphic=False
+        "conj", np.conj, lambda z, y: (np.zeros_like(z), np.ones_like(z)), holomorphic=False
     )
 )
 
@@ -540,7 +522,7 @@ register_op(
     ElementwiseOp(
         "re",
         lambda z: z.real.astype(COMPLEX),
-        lambda z: (np.full_like(z, 0.5), np.full_like(z, 0.5)),
+        lambda z, y: (np.full_like(z, 0.5), np.full_like(z, 0.5)),
         holomorphic=False,
     )
 )
@@ -549,7 +531,7 @@ register_op(
     ElementwiseOp(
         "abs2",
         lambda z: (z.real ** 2 + z.imag ** 2).astype(COMPLEX),
-        lambda z: (np.conj(z), z.copy()),
+        lambda z, y: (np.conj(z), z.copy()),
         holomorphic=False,
     )
 )

@@ -1,4 +1,4 @@
-"""Dense complex array helpers and deterministic random sources.
+"""Complex array conventions and deterministic random sources.
 
 Every value in this package is a numpy complex128 array (real and imaginary
 parts are 64-bit floats). numpy already does the arithmetic well, so this
@@ -30,33 +30,6 @@ def ensure_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ArithmeticError(f"non-finite values in {name}")
     return arr
-
-
-def as_complex(values, name: str = "array") -> np.ndarray:
-    arr = np.asarray(values, dtype=COMPLEX)
-    return ensure_finite(arr, name)
-
-
-def conj(t: np.ndarray) -> np.ndarray:
-    """Elementwise complex conjugate, shape preserved."""
-    return np.conjugate(t)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Complex matrix product with an explicit shape contract."""
-    a = np.asarray(a, dtype=COMPLEX)
-    b = np.asarray(b, dtype=COMPLEX)
-    if a.ndim != 2 or b.ndim != 2:
-        raise DimensionError(f"matmul needs 2-d operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise DimensionError(f"matmul inner extents disagree: {a.shape} x {b.shape}")
-    return a @ b
-
-
-def abs_arg(z: complex) -> tuple[float, float]:
-    """Magnitude and phase of a complex scalar; abs_arg(0) is (0.0, 0.0)."""
-    z = complex(z)
-    return abs(z), float(np.arctan2(z.imag, z.real))
 
 
 def make_rng(seed: int, *stream: int) -> np.random.Generator:

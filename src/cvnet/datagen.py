@@ -30,7 +30,7 @@ from enum import Enum
 
 import numpy as np
 
-from .complex_ops import COMPLEX, FormatError, make_rng
+from .complex_ops import COMPLEX, FormatError, ensure_finite, make_rng
 
 N_SAMPLES = 1024
 FRAME_LEN = 256
@@ -324,8 +324,13 @@ def build_views(
     Real field on analytic data: concatenated [re_0..re_255, im_0..im_255],
     (512, n), stored as complex with zero imaginary part.
     Real field on real data: the real part, (256, n).
+
+    This is the one entry point from samples to model inputs (training,
+    evaluation and the zero baseline), so the finiteness of the data is
+    checked here, once per call; the frames then enter the graph as
+    unchecked constants.
     """
-    samples = np.asarray(samples, dtype=COMPLEX)
+    samples = ensure_finite(np.asarray(samples, dtype=COMPLEX), "samples")
     if samples.ndim == 1:
         samples = samples[None, :]
     if samples.shape[1] != N_SAMPLES:

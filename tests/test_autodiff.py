@@ -180,6 +180,19 @@ class TestBackward:
             assert store[var].shape == var.value.shape
 
 
+class TestConstants:
+    def test_plain_array_operands_get_no_edge(self):
+        rng = make_rng(22)
+        w = ad.Var(sample_circular_gaussian(rng, (3, 5), 1.0))
+        x = sample_circular_gaussian(rng, (5, 2), 1.0)
+        c = sample_circular_gaussian(rng, (3, 2), 1.0)
+        out = w @ x + c
+        assert out.parents[0].parents == (w,)
+        store = ad.backward(ad.mse(out, np.zeros((3, 2)), 12))
+        assert [n for n in store if n.emit is None] == [w]
+        np.testing.assert_allclose(store[w], out.value @ np.conj(x).T / 12, atol=1e-14)
+
+
 class TestDualChannel:
     def _graph(self, warr, x, t, act):
         w = ad.Var(warr)

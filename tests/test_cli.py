@@ -1,8 +1,14 @@
 """End-to-end command flows at tiny scale."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import cvnet
 from cvnet import cli, datagen, nn
 
 
@@ -116,8 +122,8 @@ class TestChecks:
 
         original = ad.REGISTRY["ctanh"]
 
-        def corrupt_pair(z):
-            j, jc = original.pair(z)
+        def corrupt_pair(z, y):
+            j, jc = original.pair(z, y)
             return 1.01 * j, jc
 
         corrupted = ad.ElementwiseOp(
@@ -134,3 +140,17 @@ class TestChecks:
         run(["gradcheck", "--seed", "12"])
         second = capsys.readouterr().out
         assert first == second
+
+    def test_gradcheck_report_same_across_hash_seeds(self):
+        # str hashing is salted per process; the probes must not depend on it
+        src = str(Path(cvnet.__file__).resolve().parents[1])
+        code = "import sys; from cvnet.cli import main; sys.exit(main(sys.argv[1:]))"
+        outs = []
+        for hash_seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", code, "gradcheck", "--seed", "12"],
+                                  env=env, capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            outs.append(proc.stdout)
+        assert outs[0] == outs[1]

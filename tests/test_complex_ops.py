@@ -1,10 +1,12 @@
-"""Core complex array helpers: conventions, determinism, oracle checks."""
+"""Complex array conventions, determinism, and the forward values of the
+graph's conjugation and matrix-product nodes against independent oracles."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cvnet import autodiff as ad
 from cvnet import complex_ops as co
 
 finite_floats = st.floats(min_value=-1e3, max_value=1e3, allow_nan=False)
@@ -26,42 +28,52 @@ def matmul_reference(a, b):
     return out
 
 
+def conj(t):
+    """Forward value of the graph's conjugation node."""
+    return ad.conj(t).value
+
+
+def matmul(a, b):
+    """Forward value of the graph's matrix-product node."""
+    return ad.matmul(a, b).value
+
+
 class TestConj:
     def test_definition(self):
-        assert co.conj(np.array(2 + 3j)) == 2 - 3j
+        assert conj(np.array(2 + 3j)) == 2 - 3j
 
     @given(complex_scalars)
     def test_involution(self, z):
         arr = np.array([z])
-        assert np.array_equal(co.conj(co.conj(arr)), arr)
+        assert np.array_equal(conj(conj(arr)), arr)
 
     def test_real_tensor_unchanged(self):
         arr = np.array([1.0, -2.5, 0.0], dtype=co.COMPLEX)
-        assert np.array_equal(co.conj(arr), arr)
+        assert np.array_equal(conj(arr), arr)
 
     def test_distributes_over_matmul(self):
         rng = co.make_rng(3)
         a = co.sample_circular_gaussian(rng, (4, 3), 1.0)
         b = co.sample_circular_gaussian(rng, (3, 5), 1.0)
-        lhs = co.conj(co.matmul(a, b))
-        rhs = co.matmul(co.conj(a), co.conj(b))
+        lhs = conj(matmul(a, b))
+        rhs = matmul(conj(a), conj(b))
         np.testing.assert_allclose(lhs, rhs, atol=1e-12)
 
     def test_distributes_over_add(self):
         rng = co.make_rng(4)
         a = co.sample_circular_gaussian(rng, (6,), 1.0)
         b = co.sample_circular_gaussian(rng, (6,), 1.0)
-        np.testing.assert_allclose(co.conj(a + b), co.conj(a) + co.conj(b), atol=0)
+        np.testing.assert_allclose(conj(a + b), conj(a) + conj(b), atol=0)
 
 
 class TestMatmul:
     def test_identity(self):
         rng = co.make_rng(5)
         z = co.sample_circular_gaussian(rng, (4, 2), 1.0)
-        np.testing.assert_array_equal(co.matmul(np.eye(4, dtype=co.COMPLEX), z), z)
+        np.testing.assert_array_equal(matmul(np.eye(4, dtype=co.COMPLEX), z), z)
 
     def test_i_squared(self):
-        out = co.matmul(np.array([[1j]]), np.array([[1j]]))
+        out = matmul(np.array([[1j]]), np.array([[1j]]))
         assert out[0, 0] == -1
 
     @pytest.mark.parametrize("seed", range(5))
@@ -70,40 +82,21 @@ class TestMatmul:
         m, k, n = rng.integers(1, 9, size=3)
         a = co.sample_circular_gaussian(rng, (m, k), 1.0)
         b = co.sample_circular_gaussian(rng, (k, n), 1.0)
-        np.testing.assert_allclose(co.matmul(a, b), matmul_reference(a, b), atol=1e-12)
+        np.testing.assert_allclose(matmul(a, b), matmul_reference(a, b), atol=1e-12)
 
     def test_shape_mismatch_names_both_shapes(self):
         with pytest.raises(co.DimensionError, match=r"\(2, 3\).*\(2, 2\)"):
-            co.matmul(np.zeros((2, 3)), np.zeros((2, 2)))
+            matmul(np.zeros((2, 3)), np.zeros((2, 2)))
 
     @given(complex_scalars, complex_scalars)
     def test_scalar_product_rotates_and_scales(self, z, w):
-        out = co.matmul(np.array([[z]]), np.array([[w]]))[0, 0]
+        out = matmul(np.array([[z]]), np.array([[w]]))[0, 0]
         assert abs(abs(out) - abs(z) * abs(w)) <= 1e-12 * max(1.0, abs(z) * abs(w))
         if abs(z) > 1e-6 and abs(w) > 1e-6:
             want = (np.angle(z) + np.angle(w) + np.pi) % (2 * np.pi) - np.pi
             got = np.angle(out)
             diff = (got - want + np.pi) % (2 * np.pi) - np.pi
             assert abs(diff) < 1e-9
-
-
-class TestAbsArg:
-    def test_three_four_five(self):
-        mag, phase = co.abs_arg(3 + 4j)
-        assert mag == 5.0
-        assert phase == pytest.approx(np.arctan2(4, 3), abs=1e-15)
-
-    def test_negative_real_axis(self):
-        mag, phase = co.abs_arg(-1 + 0j)
-        assert (mag, phase) == (1.0, np.pi)
-
-    def test_zero_convention(self):
-        assert co.abs_arg(0) == (0.0, 0.0)
-
-    def test_phase_range(self):
-        for z in (1j, -1j, -1 - 1e-12j, 1 + 0j):
-            _, phase = co.abs_arg(z)
-            assert -np.pi < phase <= np.pi
 
 
 class TestCircularGaussian:
@@ -138,7 +131,7 @@ class TestFiniteness:
 
     def test_inf_rejected(self):
         with pytest.raises(ArithmeticError):
-            co.as_complex(np.array([np.inf + 0j]))
+            co.ensure_finite(np.array([np.inf + 0j]))
 
 
 @settings(max_examples=50)

@@ -28,17 +28,18 @@ class TestComplexTanh:
     def test_pair_matches_oracle_and_jc_vanishes(self):
         rng = make_rng(71)
         for _ in range(10):
-            z = 0.6 * sample_circular_gaussian(rng, (), 1.0)
-            j, jc = nn._ctanh_pair(np.asarray(z))
-            oracle = ad.wirtinger_pair_numeric(nn.ctanh_values, np.asarray(z))
+            z = np.asarray(0.6 * sample_circular_gaussian(rng, (), 1.0))
+            j, jc = nn._ctanh_pair(z, nn.ctanh_values(z))
+            oracle = ad.wirtinger_pair_numeric(nn.ctanh_values, z)
             assert j == pytest.approx(oracle.j.ravel()[0], rel=1e-6, abs=1e-9)
             assert abs(jc) == 0
             assert abs(oracle.jc.ravel()[0]) < 1e-8
 
     def test_singularity_names_element(self, monkeypatch):
-        # float64 cannot land closer to the pole than |cosh| ~ 1e-16, so the
-        # shipped 1e-30 threshold never fires on representable inputs; widen
-        # it here to exercise the detection and its error message.
+        # float64 cannot land closer to the pole than |cosh| ~ 1e-16, i.e.
+        # |tanh| ~ 1.6e16, so the shipped 1e-30 threshold never fires on
+        # representable inputs; widen it here to exercise the detection and
+        # its error message.
         monkeypatch.setattr(nn, "COSH_SINGULARITY_TOL", 1e-12)
         z = np.array([0.3 + 0j, 1j * (np.pi / 2)])
         with pytest.raises(nn.SingularityError, match="index 1"):
@@ -53,7 +54,8 @@ class TestComplexTanh:
 class TestSplitMagnitude:
     def test_zero_maps_to_zero_with_pair_one_zero(self):
         assert nn.split_magnitude_values(np.array(0j)) == 0
-        j, jc = nn._split_magnitude_pair(np.array(0j))
+        z = np.array(0j)
+        j, jc = nn._split_magnitude_pair(z, nn.split_magnitude_values(z))
         assert j == 1.0 and jc == 0.0
 
     def test_three_four_five_magnitude_and_phase(self):
@@ -67,8 +69,9 @@ class TestSplitMagnitude:
             z = 2.0 * sample_circular_gaussian(rng, (), 1.0)
             if abs(z) < 1e-3:
                 continue
-            j, jc = nn._split_magnitude_pair(np.asarray(z))
-            oracle = ad.wirtinger_pair_numeric(nn.split_magnitude_values, np.asarray(z))
+            z = np.asarray(z)
+            j, jc = nn._split_magnitude_pair(z, nn.split_magnitude_values(z))
+            oracle = ad.wirtinger_pair_numeric(nn.split_magnitude_values, z)
             assert j == pytest.approx(oracle.j.ravel()[0], rel=1e-5)
             assert jc == pytest.approx(oracle.jc.ravel()[0], rel=1e-5)
 
@@ -221,6 +224,79 @@ class TestRecurrentModel:
         m = nn.init_model(64, 64, 64, field="complex", init_scale=2.0, seed=7)
         power = np.mean(np.abs(m.w_in) ** 2) * 64  # fan_in normalization
         assert power == pytest.approx(4.0, rel=0.2)
+
+
+def _tiny_loss_graph(model, seed):
+    """A predict_frame loss on plain-array data; returns (loss, param vars)."""
+    rng = make_rng(seed)
+    frames = [sample_circular_gaussian(rng, (model.d_in, 2), 1.0) for _ in range(3)]
+    target = sample_circular_gaussian(rng, (model.d_out, 2), 1.0)
+    pv = nn.param_vars(model)
+    pred = nn.predict_frame(pv, frames, model.activation)
+    return nn.mse_loss(pred, target, model.field), pv
+
+
+class TestGraphUsesRegistry:
+    def test_corrupted_registry_pair_reaches_training_graph(self, monkeypatch):
+        # The ctanh node must differentiate through REGISTRY["ctanh"].pair,
+        # the same pair gradcheck validates, and through nothing else.
+        z0 = 0.5 * sample_circular_gaussian(make_rng(93), 4, 1.0)
+        m = nn.init_model(4, 3, 4, field="complex", init_scale=0.7, seed=12)
+
+        def grads():
+            z = ad.Var(z0)
+            ad.backward(ad.sum_abs2(nn.ctanh(z)))
+            loss, pv = _tiny_loss_graph(m, 94)
+            ad.backward(loss)
+            # w_out and b_out sit after the last activation; the rest are upstream
+            return [z.grad] + [pv[name].grad for name in ("w_in", "b_in", "w_rec", "b_rec")]
+
+        clean = grads()
+        original = ad.REGISTRY["ctanh"]
+
+        def corrupt_pair(z, y):
+            j, jc = original.pair(z, y)
+            return 1.01 * j, jc
+
+        monkeypatch.setitem(ad.REGISTRY, "ctanh", ad.ElementwiseOp(
+            "ctanh", original.fn, corrupt_pair, original.holomorphic, original.probe_radius
+        ))
+        for got, want in zip(grads(), clean):
+            assert np.max(np.abs(got - want)) > 1e-6
+
+
+class TestDataIsConstant:
+    def test_leaves_are_exactly_the_parameters(self):
+        m = nn.init_model(5, 3, 4, field="complex", init_scale=0.7, seed=13)
+        loss, pv = _tiny_loss_graph(m, 95)
+        leaves = [n for n in ad._toposort(loss) if n.emit is None]
+        assert sorted(map(id, leaves)) == sorted(map(id, pv.values()))
+
+    def test_backward_emits_nothing_for_plain_arrays(self):
+        # Each emission yields one contribution per Var parent. Of the 14
+        # matmul products a graph with Var data would emit, the 3 frames and
+        # the zero initial state account for 4; none of them is computed.
+        m = nn.init_model(5, 3, 4, field="complex", init_scale=0.7, seed=14)
+        loss, pv = _tiny_loss_graph(m, 96)
+        per_op = {}
+
+        def counted(node):
+            emit = node.emit
+
+            def run(gamma, delta):
+                out = emit(gamma, delta)
+                assert len(out) == len(node.parents)
+                per_op[node.op] = per_op.get(node.op, 0) + len(out)
+                return out
+
+            return run
+
+        for node in ad._toposort(loss):
+            if node.emit is not None:
+                node.emit = counted(node)
+        store = ad.backward(loss)
+        assert per_op["matmul"] == 10
+        assert all(store[v].shape == v.value.shape for v in pv.values())
 
 
 class TestCheckpoint:

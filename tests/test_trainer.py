@@ -1,5 +1,7 @@
 """Schedule, optimizer, training loop, random search, and CSV exports."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -183,6 +185,19 @@ class TestTrain:
         assert len(result.history) < 50
 
 
+class TestNonFiniteData:
+    def test_nan_sample_raises_in_train_and_evaluate(self, small_data):
+        bad = small_data.train.copy()
+        bad[3, 100] = np.nan
+        cfg = trainer.TrainConfig(lr0=1e-3, half_life=20.0, init_scale=0.4,
+                                  epochs=1, batch_size=20, seed=15)
+        model = nn.init_model(256, 4, 256, field="complex", init_scale=0.4, seed=15)
+        with pytest.raises(ArithmeticError, match="samples"):
+            trainer.train(model, dataclasses.replace(small_data, train=bad), cfg)
+        with pytest.raises(ArithmeticError, match="samples"):
+            trainer.evaluate(model, bad, small_data.kind)
+
+
 class TestEvaluate:
     def test_zero_model_on_unit_analytic_data(self):
         # single unit-amplitude complex exponential: |target| = 1 everywhere,
@@ -242,6 +257,20 @@ class TestRandomSearch:
         assert [(r.trial_id, r.best_val, r.status) for r in a] == [
             (r.trial_id, r.best_val, r.status) for r in b
         ]
+
+    def test_jobs_do_not_change_output_bytes(self, small_data, tmp_path):
+        kw = dict(field="complex", hidden=4, n_trials=2, seed=6, epochs=3, batch_size=30)
+        outputs = []
+        for jobs in (1, 2):
+            res = trainer.random_search(small_data, jobs=jobs, **kw)
+            out = tmp_path / f"jobs{jobs}"
+            out.mkdir()
+            trainer.write_search_csv(res, out / "search.csv")
+            for r in res:
+                trainer.write_curves_csv(r, out / f"trial_{r.trial_id:03d}.csv")
+            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert len(outputs[0]) == 3
+        assert outputs[0] == outputs[1]
 
     def test_invalid_space_rejected(self):
         with pytest.raises(trainer.ConfigError):
