@@ -15,7 +15,7 @@ import argparse
 import time
 from pathlib import Path
 
-from cvnet import datagen, nn, spectral, trainer
+from cvnet import datagen, spectral, trainer
 
 
 def main() -> int:
@@ -51,15 +51,9 @@ def main() -> int:
             seed=args.seed + 1, epochs=args.epochs, batch_size=args.batch_size,
             jobs=args.jobs,
         )
-        fdir = out / field
-        fdir.mkdir(exist_ok=True)
-        trainer.write_search_csv(results, fdir / "search.csv")
-        for r in results:
-            trainer.write_curves_csv(r, fdir / f"trial_{r.trial_id:03d}.csv")
-        best = next((r for r in results if r.model is not None), None)
+        best = trainer.write_search_outputs(results, out / field)
         baseline = trainer.zero_baseline_mse(data.val, data.kind, field)
         if best is not None:
-            nn.save_model(best.model, fdir / "best_model.cvnn")
             test_mse = trainer.evaluate(best.model, data.test, data.kind)
             print(
                 f"{field}: best val {best.best_val:.4f} "

@@ -11,7 +11,7 @@ import argparse
 import time
 from pathlib import Path
 
-from cvnet import datagen, nn, trainer
+from cvnet import datagen, trainer
 
 
 def main() -> int:
@@ -40,16 +40,10 @@ def main() -> int:
                 data, field=field, hidden=256, n_trials=args.trials,
                 seed=args.seed + 1, epochs=1000, batch_size=1000, jobs=args.jobs,
             )
-            fdir = out / kind / field
-            fdir.mkdir(parents=True, exist_ok=True)
-            trainer.write_search_csv(results, fdir / "search.csv")
-            for r in results:
-                trainer.write_curves_csv(r, fdir / f"trial_{r.trial_id:03d}.csv")
-            best = next((r for r in results if r.model is not None), None)
+            best = trainer.write_search_outputs(results, out / kind / field)
             if best is None:
                 print(f"[{kind}/{field}] every trial diverged", flush=True)
                 continue
-            nn.save_model(best.model, fdir / "best_model.cvnn")
             test_mse = trainer.evaluate(best.model, data.test, data.kind)
             print(
                 f"[{kind}/{field}] best val {best.best_val:.4f}, test {test_mse:.4f}, "

@@ -75,6 +75,9 @@ class Var:
     """
 
     __slots__ = ("value", "grad", "op", "parents", "emit")
+    # ndarray operators return NotImplemented, so `array + var` and
+    # `array @ var` reach __radd__/__rmatmul__ and build one node.
+    __array_ufunc__ = None
 
     def __init__(self, value, op="leaf", parents=(), emit=None):
         self.value = np.asarray(value, dtype=COMPLEX)
@@ -112,6 +115,9 @@ class Var:
 
     def __matmul__(self, other):
         return matmul(self, other)
+
+    def __rmatmul__(self, other):
+        return matmul(other, self)
 
     def __neg__(self):
         return neg(self)

@@ -1,7 +1,8 @@
 """Command-line harness: generate data, train, search, evaluate, analyze.
 
-Every command takes --seed and is fully deterministic given it; outputs
-are binary dataset/checkpoint files and CSVs meant for any plotting tool.
+Every command is deterministic: gen, train, search, gradcheck and selftest
+draw from --seed, and eval and filters use no randomness. Outputs are
+binary dataset/checkpoint files and CSVs meant for any plotting tool.
 """
 
 from __future__ import annotations
@@ -34,12 +35,8 @@ def cmd_gen(args) -> int:
     return 0
 
 
-def _load_data(path: str) -> datagen.DatasetBundle:
-    return datagen.read_dataset(path)
-
-
 def cmd_train(args) -> int:
-    data = _load_data(args.data)
+    data = datagen.read_dataset(args.data)
     d_in, d_out = datagen.model_dims(data.kind, args.field)
     model = nn.init_model(
         d_in, args.hidden, d_out, field=args.field, init_scale=args.init_scale, seed=args.seed
@@ -51,7 +48,6 @@ def cmd_train(args) -> int:
         momentum=args.momentum,
         epochs=args.epochs,
         batch_size=args.batch_size,
-        seed=args.seed,
         clip=args.clip,
     )
     result = trainer.train(model, data, config)
@@ -65,7 +61,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_search(args) -> int:
-    data = _load_data(args.data)
+    data = datagen.read_dataset(args.data)
     results = trainer.random_search(
         data,
         field=args.field,
@@ -77,13 +73,8 @@ def cmd_search(args) -> int:
         jobs=args.jobs,
     )
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    trainer.write_search_csv(results, out / "search.csv")
-    for r in results:
-        trainer.write_curves_csv(r, out / f"trial_{r.trial_id:03d}.csv")
-    best = next((r for r in results if r.model is not None), None)
+    best = trainer.write_search_outputs(results, out)
     if best is not None:
-        nn.save_model(best.model, out / "best_model.cvnn")
         print(f"best trial={best.trial_id} best_val={best.best_val:.6e} status={best.status}")
     else:
         print("all trials diverged before completing an epoch")
@@ -94,7 +85,7 @@ def cmd_search(args) -> int:
 
 def cmd_eval(args) -> int:
     model = nn.load_model(args.model)
-    data = _load_data(args.data)
+    data = datagen.read_dataset(args.data)
     mse = trainer.evaluate(model, data.partition(args.partition), data.kind)
     print(f"{args.partition}_mse={mse:.16e}")
     return 0
@@ -191,7 +182,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init-scale", type=float, required=True)
     p.add_argument("--batch-size", type=int, default=1000)
     p.add_argument("--clip", type=float, default=None,
-                   help="optional global-norm gradient clip threshold")
+                   help="optional global-norm gradient clip threshold (> 0)")
     p.add_argument("--out", required=True)
     _add_seed(p)
     p.set_defaults(fn=cmd_train)
@@ -212,14 +203,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
     p.add_argument("--partition", required=True, choices=["train", "val", "test"])
-    _add_seed(p)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("filters", help="export filter magnitude responses as CSV")
     p.add_argument("--model", required=True)
     p.add_argument("--rows", type=int, default=3)
     p.add_argument("--out", required=True)
-    _add_seed(p)
     p.set_defaults(fn=cmd_filters)
 
     p = sub.add_parser("gradcheck", help="check analytic derivatives against finite differences")

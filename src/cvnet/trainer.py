@@ -7,8 +7,8 @@ results with their partial history, not errors: instability is one of the
 phenomena this harness exists to observe.
 
 Everything is deterministic given (dataset seed, config): trial substreams
-are derived by counter, batch order is fixed unless shuffling is requested,
-and CSV exports use a fixed 17-significant-digit float format.
+are derived by counter, batches are fixed slices in dataset order, and CSV
+exports use a fixed 17-significant-digit float format.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from __future__ import annotations
 import csv
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -42,10 +43,7 @@ class TrainConfig:
     momentum: float = 0.9
     epochs: int = 1000
     batch_size: int = 1000
-    seed: int = 0
-    decay_power: float = 1.0
     clip: float | None = None
-    shuffle: bool = False
 
     def __post_init__(self):
         if self.lr0 < 0:
@@ -58,15 +56,17 @@ class TrainConfig:
             raise ConfigError(f"init_scale must be positive, got {self.init_scale}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be at least 1")
+        if self.clip is not None and self.clip <= 0:
+            raise ConfigError(f"clip must be positive, got {self.clip}")
 
 
 def lr_at(config: TrainConfig, epoch: int) -> float:
-    """Power decay lr0 * (1 + epoch/half_life)^(-p).
+    """Decay lr0 * (1 + epoch/half_life)^(-1).
 
-    With the default p = 1 the rate halves exactly at epoch = half_life,
-    which is what the half-life name promises.
+    The rate halves exactly at epoch = half_life, which is what the
+    half-life name promises.
     """
-    return config.lr0 * (1.0 + epoch / config.half_life) ** (-config.decay_power)
+    return config.lr0 * (1.0 + epoch / config.half_life) ** -1.0
 
 
 # ---------------------------------------------------------------------------
@@ -173,7 +173,6 @@ def train(
     val_frames, val_target = datagen.build_views(data.val, data.kind, model.field)
     n_train = data.train.shape[0]
     slices = _batch_slices(n_train, config.batch_size)
-    shuffle_rng = make_rng(config.seed, 7) if config.shuffle else None
     # Batch objective: sum of per-observation errors (each already averaged
     # over its real DOF). Gradients therefore scale with batch size and the
     # learning rate is calibrated for full-scale 1000-observation
@@ -189,18 +188,14 @@ def train(
 
     for epoch in range(config.epochs):
         lr = lr_at(config, epoch)
-        order = np.arange(n_train)
-        if shuffle_rng is not None:
-            shuffle_rng.shuffle(order)
         loss_sum = 0.0
         try:
             # Overflow on the way to divergence is expected; the isfinite
             # checks below turn it into a diverged status.
             with np.errstate(over="ignore", invalid="ignore"):
                 for sl in slices:
-                    idx = order[sl]
-                    frames = [f[:, idx] for f in train_frames]
-                    target = train_target[:, idx]
+                    frames = [f[:, sl] for f in train_frames]
+                    target = train_target[:, sl]
                     pvars = nn.param_vars(model)
                     pred = nn.predict_frame(pvars, frames, model.activation)
                     loss = ad.mse(pred, target, per_obs_dof)
@@ -261,22 +256,15 @@ def _log_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
 
 
 def sample_config(
-    space: SearchSpace,
-    rng: np.random.Generator,
-    epochs: int,
-    batch_size: int,
-    seed: int,
-    momentum: float = 0.9,
+    space: SearchSpace, rng: np.random.Generator, epochs: int, batch_size: int
 ) -> TrainConfig:
     """Draw order: lr0, half_life, init_scale."""
     return TrainConfig(
         lr0=_log_uniform(rng, *space.lr0),
         half_life=_log_uniform(rng, *space.half_life),
         init_scale=_log_uniform(rng, *space.init_scale),
-        momentum=momentum,
         epochs=epochs,
         batch_size=batch_size,
-        seed=seed,
     )
 
 
@@ -284,7 +272,7 @@ def _run_trial(args) -> TrialResult:
     data, fld, hidden, space, seed, epochs, batch_size, trial_id = args
     rng = make_rng(seed, trial_id)
     trial_seed = int(rng.integers(0, 2**63))
-    config = sample_config(space, rng, epochs, batch_size, trial_seed)
+    config = sample_config(space, rng, epochs, batch_size)
     d_in, d_out = datagen.model_dims(data.kind, fld)
     model = nn.init_model(
         d_in, hidden, d_out, field=fld, init_scale=config.init_scale, seed=trial_seed
@@ -367,3 +355,21 @@ def write_search_csv(results: Sequence[TrialResult], path) -> None:
                     r.status,
                 ]
             )
+
+
+def write_search_outputs(results: Sequence[TrialResult], out) -> TrialResult | None:
+    """A ranked search's files in out: search.csv, trial_NNN.csv, best_model.cvnn.
+
+    The checkpoint is the first ranked trial that kept a model, which is
+    returned; None (and no checkpoint) when every trial diverged before
+    completing an epoch.
+    """
+    out = Path(out)
+    out.mkdir(parents=True, exist_ok=True)
+    write_search_csv(results, out / "search.csv")
+    for r in results:
+        write_curves_csv(r, out / f"trial_{r.trial_id:03d}.csv")
+    best = next((r for r in results if r.model is not None), None)
+    if best is not None:
+        nn.save_model(best.model, out / "best_model.cvnn")
+    return best

@@ -220,7 +220,7 @@ def test_c08_real_complex_parity(complex_search, real_search):
 def test_c09_real_degenerate_equivalence(desk_data):
     config = trainer.TrainConfig(lr0=2e-3, half_life=300.0, init_scale=0.3,
                                  momentum=0.9, epochs=DESK["epochs"],
-                                 batch_size=DESK["batch_size"], seed=13)
+                                 batch_size=DESK["batch_size"])
     model = nn.init_model(256, DESK["hidden"], 256, field="real",
                           init_scale=config.init_scale, seed=13)
     result = trainer.train(model, desk_data, config)

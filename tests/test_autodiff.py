@@ -192,6 +192,23 @@ class TestConstants:
         assert [n for n in store if n.emit is None] == [w]
         np.testing.assert_allclose(store[w], out.value @ np.conj(x).T / 12, atol=1e-14)
 
+    @pytest.mark.parametrize("op, left, explicit", [
+        ("add", lambda a, v: a + v, lambda a, v: v + a),
+        ("matmul", lambda a, v: a @ v, lambda a, v: ad.matmul(a, v)),
+    ], ids=["add", "matmul"])
+    def test_array_on_the_left_defers_to_var(self, op, left, explicit):
+        rng = make_rng(23)
+        a = sample_circular_gaussian(rng, (2, 2), 1.0)
+        varr = sample_circular_gaussian(rng, (2, 2), 1.0)
+        grads = []
+        for build in (left, explicit):
+            v = ad.Var(varr)
+            out = build(a, v)
+            assert isinstance(out, ad.Var)
+            assert out.op == op and out.parents == (v,)
+            grads.append(ad.backward(ad.mse(out, np.zeros((2, 2)), 8))[v])
+        np.testing.assert_array_equal(grads[0], grads[1])
+
 
 class TestDualChannel:
     def _graph(self, warr, x, t, act):

@@ -1,0 +1,46 @@
+"""The names the benchmark's tracer hooks into must exist in cvnet.
+
+perfbench/tracing.py wraps cvnet functions by module attribute and reads
+the op names of backward emissions; a rename on either side would only
+show in a traced benchmark run. perfbench is not a package, so the
+tracer is loaded by file path.
+"""
+
+import importlib.util
+from pathlib import Path
+
+from cvnet import autodiff as ad
+from cvnet import datagen, nn
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+OPS = {"matmul", "ctanh", "add", "mse"}
+
+
+def load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_installs_restores_and_sees_the_ops():
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    targets = [(owner, attr) for owner, attr, _ in tracing._targets(tracer)]
+    originals = {(owner, attr): owner.__dict__[attr] for owner, attr in targets}
+
+    data = datagen.generate_bundle(datagen.DatasetKind.SAWTOOTH, 3, 4, 2, 2)
+    frames, target = datagen.build_views(data.train, data.kind, "complex")
+    model = nn.init_model(256, 4, 256, field="complex", init_scale=0.5, seed=3)
+    with tracing.installed(tracer):
+        assert all(owner.__dict__[attr] is not originals[owner, attr]
+                   for owner, attr in targets)
+        loss, _ = nn.forward_loss(model, frames, target)
+        ad.backward(loss)
+
+    for owner, attr in targets:
+        assert owner.__dict__[attr] is originals[owner, attr], f"{attr} not restored"
+    assert OPS <= {node.op for node in tracing._graph(loss)}
+    names = {span[2] for span in tracer.spans}
+    assert {"nn.forward_loss", "autodiff.backward"} <= names
+    assert {f"autodiff.emit.{op}" for op in OPS} <= names

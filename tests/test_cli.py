@@ -78,6 +78,16 @@ class TestTrainEvalFilters:
         lines = dest.read_text().strip().splitlines()
         assert len(lines) == 1 + 2 * 256
 
+    @pytest.mark.parametrize("argv", [
+        ["eval", "--model", "m.cvnn", "--data", "d.cvds", "--partition", "test"],
+        ["filters", "--model", "m.cvnn", "--out", "f.csv"],
+    ], ids=["eval", "filters"])
+    def test_seed_is_not_an_option(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            run(argv + ["--seed", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+
     def test_real_field_on_real_data(self, data_file, tmp_path):
         out = tmp_path / "real_run"
         rc = run(["train", "--data", str(data_file), "--field", "real",

@@ -39,7 +39,7 @@ def fixed_f0_bundle(f0=0.043, seed=1, n_train=200, n_val=80):
 
 class TestSchedule:
     def cfg(self, **kw):
-        base = dict(lr0=0.4, half_life=50.0, init_scale=1.0, epochs=10, batch_size=10, seed=0)
+        base = dict(lr0=0.4, half_life=50.0, init_scale=1.0, epochs=10, batch_size=10)
         base.update(kw)
         return trainer.TrainConfig(**base)
 
@@ -57,13 +57,9 @@ class TestSchedule:
         rates = [trainer.lr_at(cfg, e) for e in range(100)]
         assert all(a > b for a, b in zip(rates, rates[1:]))
 
-    def test_configurable_exponent(self):
-        cfg = self.cfg(decay_power=2.0)
-        assert trainer.lr_at(cfg, 50) == pytest.approx(0.1, abs=1e-15)
-
     @pytest.mark.parametrize("bad", [
         dict(lr0=-1.0), dict(momentum=1.0), dict(half_life=0.0),
-        dict(init_scale=0.0), dict(epochs=0),
+        dict(init_scale=0.0), dict(epochs=0), dict(clip=0.0), dict(clip=-1.0),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(trainer.ConfigError):
@@ -120,7 +116,7 @@ class TestSgdMomentumStep:
 class TestTrain:
     def test_lr_zero_leaves_params_and_error_constant(self, small_data):
         cfg = trainer.TrainConfig(lr0=0.0, half_life=10.0, init_scale=0.5,
-                                  epochs=4, batch_size=20, seed=1)
+                                  epochs=4, batch_size=20)
         model = nn.init_model(256, 8, 256, field="complex", init_scale=0.5, seed=1)
         before = {k: v.copy() for k, v in model.params().items()}
         result = trainer.train(model, small_data, cfg)
@@ -133,7 +129,7 @@ class TestTrain:
     def test_same_seed_bitwise_identical_history(self, small_data):
         def run():
             cfg = trainer.TrainConfig(lr0=1e-3, half_life=20.0, init_scale=0.4,
-                                      epochs=3, batch_size=20, seed=5)
+                                      epochs=3, batch_size=20)
             model = nn.init_model(256, 8, 256, field="complex", init_scale=0.4, seed=5)
             return trainer.train(model, small_data, cfg).history
 
@@ -144,7 +140,7 @@ class TestTrain:
         data = fixed_f0_bundle()
         base = trainer.zero_baseline_mse(data.val, data.kind, "complex")
         cfg = trainer.TrainConfig(lr0=2e-3, half_life=1000.0, init_scale=0.3,
-                                  epochs=120, batch_size=50, seed=3)
+                                  epochs=120, batch_size=50)
         model = nn.init_model(256, 32, 256, field="complex", init_scale=0.3, seed=3)
         result = trainer.train(model, data, cfg)
         assert result.status == "completed"
@@ -152,7 +148,7 @@ class TestTrain:
 
     def test_best_val_is_min_over_epochs(self, small_data):
         cfg = trainer.TrainConfig(lr0=1e-3, half_life=20.0, init_scale=0.4,
-                                  epochs=5, batch_size=20, seed=6)
+                                  epochs=5, batch_size=20)
         model = nn.init_model(256, 8, 256, field="complex", init_scale=0.4, seed=6)
         result = trainer.train(model, small_data, cfg)
         assert result.best_val == min(rec.val_mse for rec in result.history)
@@ -161,13 +157,13 @@ class TestTrain:
     def test_real_model_dimension_check(self, small_data):
         model = nn.init_model(512, 8, 512, field="real", seed=7)
         cfg = trainer.TrainConfig(lr0=1e-3, half_life=20.0, init_scale=0.4,
-                                  epochs=1, batch_size=20, seed=7)
+                                  epochs=1, batch_size=20)
         with pytest.raises(trainer.ConfigError, match="dims"):
             trainer.train(model, small_data, cfg)
 
     def test_real_model_keeps_zero_imag_throughout(self, small_data):
         cfg = trainer.TrainConfig(lr0=1e-3, half_life=20.0, init_scale=0.4,
-                                  epochs=3, batch_size=20, seed=8)
+                                  epochs=3, batch_size=20)
         model = nn.init_model(256, 8, 256, field="real", init_scale=0.4, seed=8)
         result = trainer.train(model, small_data, cfg)
         assert result.status == "completed"
@@ -178,7 +174,7 @@ class TestTrain:
 
     def test_divergence_keeps_partial_history(self, small_data):
         cfg = trainer.TrainConfig(lr0=1e6, half_life=1000.0, init_scale=1.0,
-                                  epochs=50, batch_size=60, seed=9)
+                                  epochs=50, batch_size=60)
         model = nn.init_model(256, 8, 256, field="complex", init_scale=1.0, seed=9)
         result = trainer.train(model, small_data, cfg)
         assert result.status == "diverged"
@@ -190,7 +186,7 @@ class TestNonFiniteData:
         bad = small_data.train.copy()
         bad[3, 100] = np.nan
         cfg = trainer.TrainConfig(lr0=1e-3, half_life=20.0, init_scale=0.4,
-                                  epochs=1, batch_size=20, seed=15)
+                                  epochs=1, batch_size=20)
         model = nn.init_model(256, 4, 256, field="complex", init_scale=0.4, seed=15)
         with pytest.raises(ArithmeticError, match="samples"):
             trainer.train(model, dataclasses.replace(small_data, train=bad), cfg)
@@ -285,7 +281,7 @@ class TestRandomSearch:
 class TestCsvExports:
     def test_curves_format_and_stability(self, small_data, tmp_path):
         cfg = trainer.TrainConfig(lr0=1e-3, half_life=20.0, init_scale=0.4,
-                                  epochs=3, batch_size=20, seed=12)
+                                  epochs=3, batch_size=20)
         model = nn.init_model(256, 8, 256, field="complex", init_scale=0.4, seed=12)
         result = trainer.train(model, small_data, cfg)
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -305,3 +301,44 @@ class TestCsvExports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "trial_id,lr0,half_life,init_scale,best_val,status"
         assert len(lines) == 3
+
+
+class TestWriteSearchOutputs:
+    def test_files_and_best_trial(self, small_data, tmp_path):
+        res = trainer.random_search(small_data, field="complex", hidden=4, n_trials=2,
+                                    seed=5, epochs=2, batch_size=30)
+        out = tmp_path / "nested" / "search"
+        best = trainer.write_search_outputs(res, out)
+        assert best is res[0]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "best_model.cvnn", "search.csv", "trial_000.csv", "trial_001.csv"
+        ]
+        saved = nn.load_model(out / "best_model.cvnn")
+        for name, arr in best.model.params().items():
+            np.testing.assert_array_equal(saved.params()[name], arr)
+        rows = (out / "search.csv").read_text().strip().splitlines()[1:]
+        assert [int(row.split(",")[0]) for row in rows] == [r.trial_id for r in res]
+
+    @staticmethod
+    def diverged(trial_id, model):
+        cfg = trainer.TrainConfig(lr0=1e6, half_life=10.0, init_scale=1.0, epochs=3)
+        history = [trainer.EpochRecord(0, 1e6, 1.0, 2.0)] if model is not None else []
+        return trainer.TrialResult(cfg, history, 2.0 if history else np.inf,
+                                   len(history) - 1, "diverged", model, trial_id)
+
+    def test_checkpoint_from_first_trial_that_kept_a_model(self, tmp_path):
+        model = nn.init_model(256, 2, 256, field="complex", seed=1)
+        res = [self.diverged(0, None), self.diverged(1, model)]
+        best = trainer.write_search_outputs(res, tmp_path)
+        assert best is res[1]
+        assert (tmp_path / "best_model.cvnn").exists()
+
+    def test_all_diverged_writes_no_checkpoint(self, tmp_path):
+        res = [self.diverged(0, None), self.diverged(1, None)]
+        assert trainer.write_search_outputs(res, tmp_path) is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "search.csv", "trial_000.csv", "trial_001.csv"
+        ]
+        assert (tmp_path / "trial_000.csv").read_text().splitlines() == [
+            "epoch,lr,train_mse,val_mse"
+        ]
