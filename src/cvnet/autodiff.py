@@ -1,6 +1,7 @@
 """Reverse-mode differentiation for complex-valued computation graphs.
 
-Every differentiable quantity is a Var wrapping a complex128 array. Every
+Every differentiable quantity is a Var wrapping a float64 or complex128
+array (see promote()), and every op keeps its operands' dtype. Every
 node is built by one builder, _node(), from the op's operands and one
 contribution rule per operand; together the rules encode the op's two
 Wirtinger Jacobians J = dF/dz and Jc = dF/d(conj z) as matrix-free products.
@@ -22,8 +23,10 @@ That holds iff the loss root itself is an intrinsically real-valued op
 so backward() refuses any other root. The root itself is seeded with the
 exact two-channel pair (gamma, delta) = (seed, 0); for a squared-error
 root this makes the emitted cogradient equal to the residual with no
-factor-two fudge. backward_dual() propagates both channels without the
-symmetry shortcut and is the reference path for debugging.
+factor-two fudge. On a float64 graph conj() is the identity and the same
+rules give half the ordinary gradient (Kreutz-Delgado, arXiv 0906.4835).
+backward_dual() propagates both channels without the symmetry shortcut and
+is the reference path for debugging.
 
 wirtinger_pair_numeric() computes (J, Jc) by central finite differences on
 the real and imaginary axes and is the independent oracle every analytic
@@ -64,9 +67,9 @@ class EvaluationError(ArithmeticError):
 # ---------------------------------------------------------------------------
 
 class Var:
-    """Node in a complex computation graph.
+    """Node in a computation graph.
 
-    value: complex128 ndarray (any shape, scalars are shape ()).
+    value: float64 or complex128 ndarray (any shape, scalars are shape ()).
     grad:  conjugate cogradient dL/d(conj z), filled in by backward().
     emit:  closure (gamma, delta) -> per-parent contributions, or None
            for leaves. gamma plays the role of dL/dz on the output wire.
@@ -80,7 +83,7 @@ class Var:
     __array_ufunc__ = None
 
     def __init__(self, value, op="leaf", parents=(), emit=None):
-        self.value = np.asarray(value, dtype=COMPLEX)
+        self.value = promote(value)
         if op == "leaf":
             ensure_finite(self.value, "leaf value")
         self.grad = None
@@ -126,8 +129,14 @@ class Var:
         return conj(self)
 
 
+def promote(x) -> np.ndarray:
+    """float64/complex128 pass uncopied; bool, int, float32 -> float64; complex64 -> complex128."""
+    x = np.asarray(x)
+    return x.astype(COMPLEX if np.iscomplexobj(x) else np.float64, copy=False)
+
+
 def _value(x) -> np.ndarray:
-    return x.value if isinstance(x, Var) else np.asarray(x, dtype=COMPLEX)
+    return x.value if isinstance(x, Var) else promote(x)
 
 
 def _node(value, op: str, operands: Sequence, rules: Sequence[Callable]) -> Var:
@@ -188,8 +197,8 @@ def mul(x, y) -> Var:
     """Elementwise (Hadamard) product; holomorphic in each operand."""
     xv, yv = _value(x), _value(y)
     return _node(xv * yv, "mul", (x, y), (
-        lambda gamma, delta: _unbroadcast(delta * np.conj(yv), xv.shape),
-        lambda gamma, delta: _unbroadcast(delta * np.conj(xv), yv.shape),
+        lambda gamma, delta: _unbroadcast(delta * yv.conj(), xv.shape),
+        lambda gamma, delta: _unbroadcast(delta * xv.conj(), yv.shape),
     ))
 
 
@@ -200,8 +209,8 @@ def matmul(x, y) -> Var:
     if xv.shape[1] != yv.shape[0]:
         raise DimensionError(f"matmul inner extents disagree: {xv.shape} x {yv.shape}")
     return _node(xv @ yv, "matmul", (x, y), (
-        lambda gamma, delta: delta @ np.conj(yv).T,
-        lambda gamma, delta: np.conj(xv).T @ delta,
+        lambda gamma, delta: delta @ yv.conj().T,
+        lambda gamma, delta: xv.conj().T @ delta,
     ))
 
 
@@ -213,7 +222,7 @@ def elementwise(x, name: str) -> Var:
     """
     op = REGISTRY[name]
     xv = _value(x)
-    y = np.asarray(op.fn(xv), dtype=COMPLEX)
+    y = promote(op.fn(xv))
 
     if op.holomorphic:
         def rule(gamma, delta):
@@ -250,7 +259,7 @@ def mse(pred, target, n_dof: int) -> Var:
     cogradient at the root is e / n_dof.
     """
     pv = _value(pred)
-    t = np.asarray(target, dtype=COMPLEX)
+    t = promote(target)
     if pv.shape != t.shape:
         raise DimensionError(f"prediction shape {pv.shape} != target shape {t.shape}")
     if n_dof <= 0:
@@ -305,17 +314,16 @@ def backward(root: Var, seed: float = 1.0) -> dict[Var, np.ndarray]:
     order = _toposort(root)
     deltas: dict[int, np.ndarray] = {}
     store: dict[Var, np.ndarray] = {}
-    zero = np.zeros((), dtype=COMPLEX)
     for node in reversed(order):
         if node is root:
-            gamma = np.asarray(seed, dtype=COMPLEX)
-            delta = zero
+            gamma = np.asarray(seed, dtype=node.value.dtype)
+            delta = np.zeros((), dtype=node.value.dtype)
             node.grad = gamma.copy()  # seed, by convention
         else:
             delta = deltas.pop(id(node), None)
             if delta is None:
-                delta = np.zeros(node.value.shape, dtype=COMPLEX)
-            gamma = np.conj(delta)
+                delta = np.zeros(node.value.shape, dtype=node.value.dtype)
+            gamma = delta.conj()
             node.grad = delta
         store[node] = node.grad
         if node.emit is None:
@@ -346,15 +354,15 @@ def backward_dual(
     store: dict[Var, np.ndarray] = {}
     for node in reversed(order):
         if node is root:
-            gamma = np.asarray(seed, dtype=COMPLEX)
-            delta = np.zeros((), dtype=COMPLEX)
+            gamma = np.asarray(seed, dtype=node.value.dtype)
+            delta = np.zeros((), dtype=node.value.dtype)
         else:
             gamma = gammas.pop(id(node), None)
             delta = deltas.pop(id(node), None)
             if gamma is None:
-                gamma = np.zeros(node.value.shape, dtype=COMPLEX)
+                gamma = np.zeros(node.value.shape, dtype=node.value.dtype)
             if delta is None:
-                delta = np.zeros(node.value.shape, dtype=COMPLEX)
+                delta = np.zeros(node.value.shape, dtype=node.value.dtype)
             if symmetry_rtol is not None:
                 err = float(np.max(np.abs(np.conj(gamma) - delta)))
                 bound = symmetry_rtol * max(1.0, float(np.max(np.abs(delta))))
@@ -419,7 +427,8 @@ def wirtinger_pair_numeric(
 
     Perturbs each element along the real and imaginary axes and combines
     dF/dx and dF/dy as J = (dF/dx - i dF/dy)/2, Jc = (dF/dx + i dF/dy)/2.
-    This is the independent oracle used by the gradient-check suite.
+    This is the independent oracle used by the gradient-check suite. It
+    works in complex128 whatever z0's dtype, since it steps along i.
     """
     if eps <= 0:
         raise ValueError(f"eps must be positive, got {eps}")

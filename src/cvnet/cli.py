@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datagen, gradcheck, nn, spectral, trainer
+from .complex_ops import FormatError
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
@@ -224,7 +225,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        return args.fn(args)
+    except (trainer.ConfigError, FormatError) as exc:
+        print(f"cvnet {args.command}: error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
-"""Complex array conventions and deterministic random sources.
+"""Array conventions and deterministic random sources.
 
-Every value in this package is a numpy complex128 array (real and imaginary
-parts are 64-bit floats). numpy already does the arithmetic well, so this
-module only pins down the conventions the rest of the package relies on:
+Waveforms, files and complex-field models hold numpy complex128 arrays;
+real-field models and their data hold float64 (autodiff.promote()).
+numpy already does the arithmetic well, so this module only pins down
+the conventions the rest of the package relies on:
 finiteness is enforced at boundaries, shape mismatches raise a DimensionError
 naming both shapes, and all randomness flows through seeded PCG64 generators
 so that identical seeds give identical streams for a fixed numpy version.

@@ -322,8 +322,8 @@ def build_views(
 
     Complex field: the raw complex frames, (256, n).
     Real field on analytic data: concatenated [re_0..re_255, im_0..im_255],
-    (512, n), stored as complex with zero imaginary part.
-    Real field on real data: the real part, (256, n).
+    (512, n), as float64.
+    Real field on real data: the real part, (256, n), as float64.
 
     This is the one entry point from samples to model inputs (training,
     evaluation and the zero baseline), so the finiteness of the data is
@@ -344,6 +344,6 @@ def build_views(
         raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
     if kind.analytic:
         def widen(fr):
-            return np.concatenate([fr.real, fr.imag], axis=0).astype(COMPLEX)
+            return np.concatenate([fr.real, fr.imag], axis=0)
         return [widen(fr) for fr in frames[:3]], widen(frames[3])
-    return [fr.real.astype(COMPLEX) for fr in frames[:3]], frames[3].real.astype(COMPLEX)
+    return [fr.real.astype(np.float64) for fr in frames[:3]], frames[3].real.astype(np.float64)

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .complex_ops import COMPLEX, make_rng, sample_circular_gaussian
+from .complex_ops import make_rng, sample_circular_gaussian
 
 RTOL_DEFAULT = 1e-5
 ATOL_DEFAULT = 1e-8
@@ -117,7 +117,7 @@ def _tiny_model(rng, field: str) -> nn.RecurrentModel:
 
     def draw(shape):
         w = 0.4 * sample_circular_gaussian(rng, shape, 1.0)
-        return w if field == "complex" else w.real.astype(COMPLEX)
+        return w if field == "complex" else w.real
 
     act = nn.ActivationKind.COMPLEX_TANH if field == "complex" else nn.ActivationKind.REAL_TANH
     return nn.RecurrentModel(
@@ -135,7 +135,7 @@ def _tiny_model(rng, field: str) -> nn.RecurrentModel:
 def check_recurrent(
     field: str, seed: int, n_probes: int = 10, rtol: float = RTOL_DEFAULT
 ) -> CheckEntry:
-    """Gradients through the 3-step unrolled recurrence on a tiny model."""
+    """Gradients through the 3-step unrolled recurrence on a tiny model in the field's dtype."""
     rng = make_rng(seed, 303 if field == "complex" else 304)
     worst = 0.0
     for _ in range(n_probes):
@@ -143,8 +143,8 @@ def check_recurrent(
         frames = [sample_circular_gaussian(rng, (4, 2), 1.0) for _ in range(3)]
         target = sample_circular_gaussian(rng, (4, 2), 1.0)
         if field == "real":
-            frames = [f.real.astype(COMPLEX) for f in frames]
-            target = target.real.astype(COMPLEX)
+            frames = [f.real for f in frames]
+            target = target.real
 
         def build(params, _m=model, _f=frames, _t=target):
             pv = {name: ad.Var(arr) for name, arr in params.items()}

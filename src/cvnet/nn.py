@@ -1,9 +1,10 @@
 """Activations, squared-error loss, and the recurrent predictor models.
 
-Two model families share one forward path: complex-valued models use the
-fully complex tanh (holomorphic, with poles on the imaginary axis), and
-real-valued models run through the same complex engine with imaginary
-parts pinned at exactly zero, which the arithmetic preserves bit-for-bit.
+Two model families share one forward path and one engine: complex-valued
+models hold complex128 parameters and use the fully complex tanh
+(holomorphic, with poles on the imaginary axis); real-valued models hold
+float64 parameters and data, so the same graph runs float64 matmuls and a
+float64 tanh, and "no imaginary part" holds by construction.
 A bounded non-holomorphic alternative, the phase-preserving magnitude
 squasher z / (1 + |z|), is registered as well. Both activations are
 registry ops: their graph nodes come from autodiff.elementwise, so the
@@ -47,7 +48,7 @@ def ctanh_values(z: np.ndarray) -> np.ndarray:
     between 1.6e16 (at i*pi/2) and 1.6e18 (for k < 2000), so the shipped
     tolerance never fires there.
     """
-    z = np.asarray(z, dtype=COMPLEX)
+    z = ad.promote(z)
     with np.errstate(over="ignore", invalid="ignore"):
         t = np.tanh(z)
         near = np.abs(t) > 1.0 / COSH_SINGULARITY_TOL
@@ -63,7 +64,7 @@ def _ctanh_pair(z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, int]:
 
 def split_magnitude_values(z: np.ndarray) -> np.ndarray:
     """Bounded magnitude squasher z / (1 + |z|); preserves the phase."""
-    z = np.asarray(z, dtype=COMPLEX)
+    z = ad.promote(z)
     return z / (1.0 + np.abs(z))
 
 
@@ -110,8 +111,8 @@ class ActivationKind(str, Enum):
 
 def apply_activation(x: ad.Var, kind: ActivationKind) -> ad.Var:
     if kind in (ActivationKind.COMPLEX_TANH, ActivationKind.REAL_TANH):
-        # real-tanh is the restriction of complex tanh to zero-imaginary
-        # inputs; the complex engine keeps the imaginary part exactly 0.
+        # real-tanh is the restriction of complex tanh to the real axis:
+        # on a float64 input, ctanh_values is np.tanh in float64.
         return ctanh(x)
     if kind is ActivationKind.SPLIT_MAGNITUDE:
         return split_magnitude(x)
@@ -139,7 +140,7 @@ def mse_loss(pred: ad.Var, target: np.ndarray, field: str = "complex") -> ad.Var
     Normalizing by real DOF (a complex element counts twice) makes errors
     of complex models and of real models on split re/im data comparable.
     """
-    t = np.asarray(target, dtype=COMPLEX)
+    t = ad.promote(target)
     return ad.mse(pred, t, dof_multiplier(field) * t.size)
 
 
@@ -170,6 +171,7 @@ class RecurrentModel:
     Biases are stored as column vectors so they broadcast over a batch of
     column observations. b_in and b_rec are mathematically redundant but
     both kept; the three-bias layout is what the parameter totals assume.
+    A real-field model stores its parameters as float64.
     """
 
     field: str
@@ -190,6 +192,7 @@ class RecurrentModel:
             for name, arr in self.params().items():
                 if np.any(arr.imag != 0.0):
                     raise ValueError(f"real-field model has nonzero imaginary part in {name}")
+                setattr(self, name, np.ascontiguousarray(arr.real, dtype=np.float64))
         h, d_in = self.w_in.shape
         if self.w_rec.shape != (h, h):
             raise ValueError(f"w_rec shape {self.w_rec.shape} does not match hidden size {h}")
@@ -237,28 +240,29 @@ def init_model(
 ) -> RecurrentModel:
     """Weights ~ circular Gaussian with sigma = init_scale / sqrt(fan_in).
 
-    Real-field models put the whole variance on the real part so E|w|^2
-    matches the complex case. Biases start at zero.
+    Real-field models draw float64 weights with the whole variance, so
+    E|w|^2 matches the complex case. Biases start at zero.
     """
     if activation is None:
         activation = ActivationKind.COMPLEX_TANH if field == "complex" else ActivationKind.REAL_TANH
     rng = make_rng(seed, 11)
+    dtype = COMPLEX if field == "complex" else np.float64
 
     def draw(shape, fan_in):
         sigma = init_scale / np.sqrt(fan_in)
         if field == "complex":
             return sample_circular_gaussian(rng, shape, sigma)
-        return rng.normal(0.0, sigma, shape).astype(np.float64) + 0j
+        return rng.normal(0.0, sigma, shape)
 
     return RecurrentModel(
         field=field,
         activation=activation,
         w_in=draw((hidden, d_in), d_in),
-        b_in=np.zeros((hidden, 1), dtype=COMPLEX),
+        b_in=np.zeros((hidden, 1), dtype=dtype),
         w_rec=draw((hidden, hidden), hidden),
-        b_rec=np.zeros((hidden, 1), dtype=COMPLEX),
+        b_rec=np.zeros((hidden, 1), dtype=dtype),
         w_out=draw((d_out, hidden), hidden),
-        b_out=np.zeros((d_out, 1), dtype=COMPLEX),
+        b_out=np.zeros((d_out, 1), dtype=dtype),
     )
 
 
@@ -285,9 +289,8 @@ def predict_frame(
     """
     if len(frames) != 3:
         raise ValueError(f"expected exactly 3 input frames, got {len(frames)}")
-    hidden = params["w_in"].value.shape[0]
-    batch = frames[0].shape[1]
-    h = np.zeros((hidden, batch), dtype=COMPLEX)
+    w_in = params["w_in"].value
+    h = np.zeros((w_in.shape[0], frames[0].shape[1]), dtype=w_in.dtype)
     for x in frames:
         h = rnn_step(params, h, x, activation)
     return params["w_out"] @ h + params["b_out"]
@@ -306,7 +309,8 @@ def forward_loss(
 # Checkpoint format
 # ---------------------------------------------------------------------------
 # magic "CVNN", version u8, field u8, d_in/hidden/d_out u32 LE, activation u8,
-# then parameters in PARAM_ORDER as little-endian float64 (re, im) pairs.
+# then parameters in PARAM_ORDER as little-endian float64 (re, im) pairs;
+# float64 parameters of real-field models are written with im = 0.
 
 def save_model(model: RecurrentModel, path) -> None:
     header = _CHECKPOINT_MAGIC + struct.pack(

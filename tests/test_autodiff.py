@@ -210,6 +210,25 @@ class TestConstants:
         np.testing.assert_array_equal(grads[0], grads[1])
 
 
+class TestPromote:
+    @pytest.mark.parametrize("value, want", [
+        (np.array([1, 2]), np.float64),
+        (np.array([True, False]), np.float64),
+        (np.ones(2, dtype=np.float32), np.float64),
+        (np.ones(2, dtype=np.complex64), np.complex128),
+    ], ids=["int", "bool", "float32", "complex64"])
+    def test_other_dtypes_widen(self, value, want):
+        got = ad.promote(value)
+        assert got.dtype == want
+        np.testing.assert_array_equal(got, value)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_engine_dtypes_pass_without_copy(self, dtype):
+        arr = np.ones((2, 3), dtype=dtype)[:, ::2]  # a non-contiguous view, too
+        assert ad.promote(arr) is arr
+        assert ad.Var(arr).value is arr
+
+
 class TestDualChannel:
     def _graph(self, warr, x, t, act):
         w = ad.Var(warr)

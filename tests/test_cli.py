@@ -16,6 +16,16 @@ def run(argv):
     return cli.main(argv)
 
 
+def cli_subprocess(argv, **env):
+    """`cvnet argv` in a fresh interpreter on this checkout's sources."""
+    src = str(Path(cvnet.__file__).resolve().parents[1])
+    code = "import sys; from cvnet.cli import main; sys.exit(main(sys.argv[1:]))"
+    env = dict(os.environ, **env,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", code, *argv],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
 @pytest.fixture(scope="module")
 def data_file(tmp_path_factory):
     path = tmp_path_factory.mktemp("data") / "saw.cvds"
@@ -116,6 +126,29 @@ class TestSearch:
         assert (out / "best_model.cvnn").exists()
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, message", [
+        (["train", "--lr0", "1e-4", "--half-life", "50", "--init-scale", "0.5", "--clip", "0"],
+         "cvnet train: error: clip must be positive, got 0.0"),
+        (["search", "--trials", "0"],
+         "cvnet search: error: n_trials must be >= 1, got 0"),
+        (["search", "--trials", "1", "--data", "SHORT"],
+         "cvnet search: error: dataset truncated in header at byte 10"),
+    ], ids=["train-clip", "search-trials", "search-short-data"])
+    def test_one_line_and_exit_two(self, argv, message, data_file, tmp_path):
+        # A bad setting or input file is a usage error, not a traceback.
+        short = tmp_path / "short.cvds"
+        short.write_bytes(bytes(10))
+        argv = [str(short) if a == "SHORT" else a for a in argv]
+        if "--data" not in argv:
+            argv += ["--data", str(data_file)]
+        proc = cli_subprocess(argv + ["--field", "complex", "--hidden", "4",
+                                      "--epochs", "1", "--out", str(tmp_path / "out")])
+        assert proc.returncode == 2
+        assert proc.stderr.splitlines() == [message]
+        assert "Traceback" not in proc.stderr + proc.stdout
+
+
 class TestChecks:
     def test_gradcheck_exit_zero(self, capsys):
         assert run(["gradcheck", "--seed", "11"]) == 0
@@ -153,14 +186,9 @@ class TestChecks:
 
     def test_gradcheck_report_same_across_hash_seeds(self):
         # str hashing is salted per process; the probes must not depend on it
-        src = str(Path(cvnet.__file__).resolve().parents[1])
-        code = "import sys; from cvnet.cli import main; sys.exit(main(sys.argv[1:]))"
         outs = []
         for hash_seed in ("1", "2"):
-            env = dict(os.environ, PYTHONHASHSEED=hash_seed,
-                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-            proc = subprocess.run([sys.executable, "-c", code, "gradcheck", "--seed", "12"],
-                                  env=env, capture_output=True, text=True, timeout=300)
+            proc = cli_subprocess(["gradcheck", "--seed", "12"], PYTHONHASHSEED=hash_seed)
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]

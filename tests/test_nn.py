@@ -299,6 +299,47 @@ class TestDataIsConstant:
         assert all(store[v].shape == v.value.shape for v in pv.values())
 
 
+def _real_tiny_graph(model, seed, dtype=np.float64):
+    """Loss and param vars of a real model after backward, all arrays cast to dtype."""
+    rng = make_rng(seed)
+    frames = [rng.normal(size=(model.d_in, 2)).astype(dtype) for _ in range(3)]
+    target = rng.normal(size=(model.d_out, 2)).astype(dtype)
+    pv = {name: ad.Var(arr.astype(dtype, copy=False)) for name, arr in model.params().items()}
+    loss = nn.mse_loss(nn.predict_frame(pv, frames, model.activation), target, model.field)
+    ad.backward(loss)
+    return loss, pv
+
+
+class TestRealFieldIsFloat64:
+    def test_every_node_and_cogradient_is_float64(self):
+        m = nn.init_model(5, 3, 4, field="real", init_scale=0.8, seed=15)
+        loss, pv = _real_tiny_graph(m, 97)
+        assert {n.value.dtype for n in ad._toposort(loss)} == {np.dtype(np.float64)}
+        for name, var in pv.items():
+            assert var.value is m.params()[name]
+            assert var.grad.dtype == np.float64, name
+
+    def test_float64_run_equals_complex128_run(self):
+        # The same model and data, once as float64 and once cast to
+        # complex128, the way real-field models used to run.
+        m = nn.init_model(5, 3, 4, field="real", init_scale=0.8, seed=16)
+        loss, pv = _real_tiny_graph(m, 98)
+        closs, cv = _real_tiny_graph(m, 98, np.complex128)
+        assert closs.value == pytest.approx(float(loss.value), rel=1e-12)
+        for name in nn.PARAM_ORDER:
+            assert np.all(cv[name].grad.imag == 0), name
+            np.testing.assert_allclose(pv[name].grad, cv[name].grad.real, rtol=1e-12,
+                                       atol=0, err_msg=name)
+
+    def test_complex_weights_with_zero_imag_are_stored_as_float64(self):
+        arrays = {name: arr.astype(complex)
+                  for name, arr in nn.init_model(4, 3, 4, field="real", seed=17).params().items()}
+        m = nn.RecurrentModel(field="real", activation=nn.ActivationKind.REAL_TANH, **arrays)
+        for name, arr in m.params().items():
+            assert arr.dtype == np.float64 and arr.flags.c_contiguous, name
+            np.testing.assert_array_equal(arr, arrays[name].real)
+
+
 class TestCheckpoint:
     def roundtrip(self, model, tmp_path):
         path = tmp_path / "model.cvnn"
@@ -337,3 +378,17 @@ class TestCheckpoint:
         loaded, _ = self.roundtrip(m, tmp_path)
         for arr in loaded.params().values():
             assert np.all(arr.imag == 0)
+
+    def test_real_checkpoint_bytes_match_complex128_params(self, tmp_path):
+        # float64 parameters write the same file as the same values held
+        # as complex128, and load back as float64.
+        m = nn.init_model(8, 3, 8, field="real", init_scale=1.0, seed=18)
+        as_complex = m.copy()
+        for name, arr in m.params().items():
+            setattr(as_complex, name, arr.astype(np.complex128))
+        nn.save_model(as_complex, tmp_path / "complex.cvnn")
+        loaded, path = self.roundtrip(m, tmp_path)
+        assert path.read_bytes() == (tmp_path / "complex.cvnn").read_bytes()
+        for name, arr in loaded.params().items():
+            assert arr.dtype == np.float64, name
+            np.testing.assert_array_equal(arr, m.params()[name])

@@ -161,16 +161,26 @@ class TestTrain:
         with pytest.raises(trainer.ConfigError, match="dims"):
             trainer.train(model, small_data, cfg)
 
-    def test_real_model_keeps_zero_imag_throughout(self, small_data):
+    def test_real_model_keeps_zero_imag_throughout(self, small_data, monkeypatch):
+        # Zero imaginary parts hold by construction: parameters, cogradients
+        # and velocity are float64 at every step.
+        seen = set()
+        step = trainer.sgd_momentum_step
+
+        def recording_step(params, grads, velocity, *args):
+            for arrays in (params, grads, velocity):
+                seen.update(arr.dtype for arr in arrays.values())
+            return step(params, grads, velocity, *args)
+
+        monkeypatch.setattr(trainer, "sgd_momentum_step", recording_step)
         cfg = trainer.TrainConfig(lr0=1e-3, half_life=20.0, init_scale=0.4,
                                   epochs=3, batch_size=20)
         model = nn.init_model(256, 8, 256, field="real", init_scale=0.4, seed=8)
         result = trainer.train(model, small_data, cfg)
         assert result.status == "completed"
-        for arr in model.params().values():
-            assert np.all(arr.imag == 0)
-        for arr in result.model.params().values():
-            assert np.all(arr.imag == 0)
+        assert seen == {np.dtype(np.float64)}
+        for arr in list(model.params().values()) + list(result.model.params().values()):
+            assert arr.dtype == np.float64
 
     def test_divergence_keeps_partial_history(self, small_data):
         cfg = trainer.TrainConfig(lr0=1e6, half_life=1000.0, init_scale=1.0,
@@ -255,18 +265,17 @@ class TestRandomSearch:
         ]
 
     def test_jobs_do_not_change_output_bytes(self, small_data, tmp_path):
-        kw = dict(field="complex", hidden=4, n_trials=2, seed=6, epochs=3, batch_size=30)
-        outputs = []
-        for jobs in (1, 2):
-            res = trainer.random_search(small_data, jobs=jobs, **kw)
-            out = tmp_path / f"jobs{jobs}"
-            out.mkdir()
-            trainer.write_search_csv(res, out / "search.csv")
-            for r in res:
-                trainer.write_curves_csv(r, out / f"trial_{r.trial_id:03d}.csv")
-            outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-        assert len(outputs[0]) == 3
-        assert outputs[0] == outputs[1]
+        # The real field sends float64 models through the pool's pickling.
+        for field in ("complex", "real"):
+            kw = dict(field=field, hidden=4, n_trials=2, seed=6, epochs=3, batch_size=30)
+            outputs = []
+            for jobs in (1, 2):
+                res = trainer.random_search(small_data, jobs=jobs, **kw)
+                out = tmp_path / f"{field}_jobs{jobs}"
+                trainer.write_search_outputs(res, out)
+                outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+            assert len(outputs[0]) == 4, field
+            assert outputs[0] == outputs[1], field
 
     def test_invalid_space_rejected(self):
         with pytest.raises(trainer.ConfigError):
