@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .complex_ops import COMPLEX, DimensionError, ensure_finite
+from .complex_ops import COMPLEX, DimensionError, ensure_finite, squared_norm
 
 EPS_DEFAULT = 1e-6
 REAL_LOSS_IMAG_TOL = 1e-12
@@ -247,7 +247,7 @@ def sum_abs2(x) -> Var:
     As the root (seeded with (1, 0)) the emitted cogradient is exactly z.
     """
     xv = _value(x)
-    value = np.sum(xv.real ** 2 + xv.imag ** 2)
+    value = squared_norm(xv)
     return _node(value, "sum_abs2", (x,), (lambda gamma, delta: (gamma + delta) * xv,))
 
 
@@ -265,7 +265,7 @@ def mse(pred, target, n_dof: int) -> Var:
     if n_dof <= 0:
         raise ValueError(f"n_dof must be positive, got {n_dof}")
     e = pv - t
-    value = np.sum(e.real ** 2 + e.imag ** 2) / n_dof
+    value = squared_norm(e) / n_dof
     return _node(value, "mse", (pred,), (lambda gamma, delta: (gamma + delta) * (e / n_dof),))
 
 

