@@ -1,19 +1,22 @@
 #!/usr/bin/env python3
 """A/B benchmark: a parent commit against the working tree, in alternating pairs.
 
-    python scripts/bench_ab.py --out BENCH_6.json --pairs 10 --first-seed 601
+    python scripts/bench_ab.py --out BENCH_6.json --pairs 10 --parent HEAD~1
 
 The parent commit (--parent, default HEAD) is exported with `git archive`
-into a temporary directory. For every workload, pair k runs
-`perfbench/run.py --seed first_seed + k` once from the parent's copy and
+into a temporary directory. For every workload, pair k = 1..pairs runs
+`perfbench/run.py --seed k` once from the parent's copy and
 once from the working tree, each with its own perfbench; the side that
 runs first alternates from pair to pair, so a drifting host speed falls on
 both sides alike. The JSON written to --out holds, per workload and end-to-end
 metric, each side's values, median and interquartile range, the number of
 pairs the change won, and whether the change's median is worse than the
 parent's by more than the metric's bound in BENCHMARK.json; plus both
-SHAs and each side's environment block. Exit code 0 means every run passed
-its checks and no metric was flagged.
+SHAs, each side's environment block and whether both sides ran the same
+source (`same_source`, from the env blocks' `src_sha256`; a warning is
+printed when they did, as when --parent is HEAD and the working tree is
+clean). Exit code 0 means every run passed its checks and no metric was
+flagged.
 """
 
 from __future__ import annotations
@@ -37,8 +40,10 @@ def git(*args: str) -> bytes:
 
 
 def export(rev: str, dest: Path) -> None:
+    # Extraction filters exist from Python 3.10.12 and 3.11.4 on.
+    safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(git("archive", rev)), mode="r:") as tar:
-        tar.extractall(dest, filter="data")
+        tar.extractall(dest, **safe)
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, quick: bool) -> dict:
@@ -101,10 +106,8 @@ def main(argv=None) -> int:
     ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
     ap.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
     ap.add_argument("--pairs", type=int, default=5, help="alternating pairs per workload")
-    ap.add_argument("--first-seed", type=int, default=1)
     ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--quick", action="store_true", help="tiny shapes; checks the plumbing only")
-    ap.add_argument("--workdir", help="where to export the parent (default: a temporary directory)")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -114,27 +117,31 @@ def main(argv=None) -> int:
     report = {
         "parent": {"rev": args.parent, "sha": parent_sha},
         "change": {"sha": git("rev-parse", "HEAD").decode().strip(),
-                   "dirty": bool(git("status", "--porcelain", "--untracked-files=no").strip())},
-        "pairs": args.pairs, "first_seed": args.first_seed, "seconds": seconds, "quick": args.quick,
+                   "dirty": bool(git("status", "--porcelain").strip())},
+        "pairs": args.pairs, "seconds": seconds, "quick": args.quick,
         "workloads": {},
     }
-    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+    seeds = range(1, args.pairs + 1)
+    with tempfile.TemporaryDirectory() as tmp:
         parent_root = Path(tmp) / "parent"
         export(parent_sha, parent_root)
         roots = {"parent": parent_root, "change": ROOT}
         for workload in workloads:
             runs = {side: [] for side in SIDES}
-            for k in range(args.pairs):
-                seed = args.first_seed + k
+            for k, seed in enumerate(seeds):
                 for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
                     run = run_once(roots[side], workload, seed, seconds, args.quick)
                     runs[side].append(run)
                     print(f"{workload} seed {seed} {side}: {'ok' if run['ok'] else 'FAILED'}",
                           file=sys.stderr, flush=True)
+            env = {side: next((r["env"] for r in runs[side] if r["env"]), None) for side in SIDES}
+            same = None if None in env.values() else (
+                env["parent"]["src_sha256"] == env["change"]["src_sha256"])
+            if same:
+                print(f"warning: {workload}: parent and change ran the same source",
+                      file=sys.stderr)
             report["workloads"][workload] = {
-                "seeds": [args.first_seed + k for k in range(args.pairs)],
-                "env": {side: next((r["env"] for r in runs[side] if r["env"]), None)
-                        for side in SIDES},
+                "seeds": list(seeds), "env": env, "same_source": same,
                 "failed_runs": {side: sum(not r["ok"] for r in runs[side]) for side in SIDES},
                 "metrics": compare(spec, runs),
                 "runs": {side: [{k: v for k, v in r.items() if k != "env"} for r in runs[side]]

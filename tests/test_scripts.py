@@ -43,17 +43,17 @@ def test_bench_ab_report_schema(tmp_path):
     out = tmp_path / "bench.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_ab.py"), "--out", str(out),
-         "--workloads", "full-real", "--pairs", "1", "--seconds", "0", "--quick",
-         "--workdir", str(tmp_path)],
+         "--workloads", "full-real", "--pairs", "1", "--seconds", "0", "--quick"],
         capture_output=True, text=True, timeout=600,
     )
     assert out.exists(), proc.stderr
     report = json.loads(out.read_text())
-    assert set(report) == {"parent", "change", "pairs", "first_seed", "seconds", "quick",
-                           "workloads", "flagged"}
+    assert set(report) == {"parent", "change", "pairs", "seconds", "quick", "workloads",
+                           "flagged"}
     assert all(len(report[side]["sha"]) == 40 for side in ("parent", "change"))
     entry = report["workloads"]["full-real"]
-    assert set(entry) == {"seeds", "env", "failed_runs", "metrics", "runs"}
+    assert set(entry) == {"seeds", "env", "same_source", "failed_runs", "metrics", "runs"}
+    assert isinstance(entry["same_source"], bool)
     assert entry["failed_runs"] == {"parent": 0, "change": 0}, proc.stderr
     assert all(entry["env"][side]["workload"] == "full-real" for side in ("parent", "change"))
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
