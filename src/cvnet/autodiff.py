@@ -25,17 +25,16 @@ exact two-channel pair (gamma, delta) = (seed, 0); for a squared-error
 root this makes the emitted cogradient equal to the residual with no
 factor-two fudge. On a float64 graph conj() is the identity and the same
 rules give half the ordinary gradient (Kreutz-Delgado, arXiv 0906.4835).
-backward_dual() propagates both channels without the symmetry shortcut and
-is the reference path for debugging.
 
 wirtinger_pair_numeric() computes (J, Jc) by central finite differences on
-the real and imaginary axes and is the independent oracle every analytic
-derivative in the registry is validated against.
+the real and imaginary axes. It is the one independent reference: every
+analytic derivative in the registry, and backward() on whole graphs, is
+validated against it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -43,7 +42,6 @@ import numpy as np
 from .complex_ops import COMPLEX, DimensionError, ensure_finite, squared_norm
 
 EPS_DEFAULT = 1e-6
-REAL_LOSS_IMAG_TOL = 1e-12
 
 # Ops whose output is real for every complex input. Only these may be the
 # root of backward(); see the module docstring for why.
@@ -270,7 +268,7 @@ def mse(pred, target, n_dof: int) -> Var:
 
 
 # ---------------------------------------------------------------------------
-# Backward passes
+# Backward pass
 # ---------------------------------------------------------------------------
 
 def _toposort(root: Var) -> list[Var]:
@@ -298,10 +296,6 @@ def _check_real_root(root: Var) -> None:
         raise GradientContractError(
             f"loss root must be an intrinsically real-valued op {sorted(REAL_ROOT_OPS)}, got '{root.op}'"
         )
-    re = float(np.abs(root.value.real.max()))
-    im = float(np.abs(root.value.imag.max()))
-    if im > REAL_LOSS_IMAG_TOL * max(1.0, re):
-        raise GradientContractError(f"loss is not real: value {complex(root.value.reshape(-1)[0])}")
 
 
 def backward(root: Var, seed: float = 1.0) -> dict[Var, np.ndarray]:
@@ -337,52 +331,6 @@ def backward(root: Var, seed: float = 1.0) -> dict[Var, np.ndarray]:
     return store
 
 
-def backward_dual(
-    root: Var, seed: float = 1.0, symmetry_rtol: float | None = 1e-10
-) -> dict[Var, np.ndarray]:
-    """Reference path: propagate both channels (dL/dz, dL/d(conj z)).
-
-    Uses each op's emission twice; the gamma-channel contribution is
-    conj(emit(conj(delta), conj(gamma))). When symmetry_rtol is set, checks
-    dL/dz = conj(dL/d(conj z)) on every non-root node, which must hold for
-    a real loss.
-    """
-    _check_real_root(root)
-    order = _toposort(root)
-    gammas: dict[int, np.ndarray] = {}
-    deltas: dict[int, np.ndarray] = {}
-    store: dict[Var, np.ndarray] = {}
-    for node in reversed(order):
-        if node is root:
-            gamma = np.asarray(seed, dtype=node.value.dtype)
-            delta = np.zeros((), dtype=node.value.dtype)
-        else:
-            gamma = gammas.pop(id(node), None)
-            delta = deltas.pop(id(node), None)
-            if gamma is None:
-                gamma = np.zeros(node.value.shape, dtype=node.value.dtype)
-            if delta is None:
-                delta = np.zeros(node.value.shape, dtype=node.value.dtype)
-            if symmetry_rtol is not None:
-                err = float(np.max(np.abs(np.conj(gamma) - delta)))
-                bound = symmetry_rtol * max(1.0, float(np.max(np.abs(delta))))
-                if err > bound:
-                    raise GradientContractError(
-                        f"cogradient symmetry violated at node '{node.op}': |conj(dL/dz) - dL/dzbar| = {err:.3e}"
-                    )
-        store[node] = delta
-        if node.emit is None:
-            continue
-        d_contribs = node.emit(gamma, delta)
-        g_contribs = [np.conj(c) for c in node.emit(np.conj(delta), np.conj(gamma))]
-        for parent, dc, gc in zip(node.parents, d_contribs, g_contribs):
-            prev = deltas.get(id(parent))
-            deltas[id(parent)] = dc if prev is None else prev + dc
-            prev = gammas.get(id(parent))
-            gammas[id(parent)] = gc if prev is None else prev + gc
-    return store
-
-
 # ---------------------------------------------------------------------------
 # Jacobian pairs and the finite-difference oracle
 # ---------------------------------------------------------------------------
@@ -397,12 +345,6 @@ class JacobianPair:
     def __post_init__(self):
         if self.j.shape != self.jc.shape:
             raise DimensionError(f"pair shapes differ: {self.j.shape} vs {self.jc.shape}")
-
-    @classmethod
-    def holomorphic(cls, j: np.ndarray) -> "JacobianPair":
-        # Jc is zero by construction, never computed.
-        j = np.asarray(j, dtype=COMPLEX)
-        return cls(j, np.zeros_like(j))
 
 
 def compose_pairs(outer: JacobianPair, inner: JacobianPair) -> JacobianPair:

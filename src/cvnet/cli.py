@@ -1,8 +1,10 @@
 """Command-line harness: generate data, train, search, evaluate, analyze.
 
-Every command is deterministic: gen, train, search, gradcheck and selftest
-draw from --seed, and eval and filters use no randomness. Outputs are
-binary dataset/checkpoint files and CSVs meant for any plotting tool.
+Every command is deterministic: gen, train, search and gradcheck draw
+from --seed, and eval and filters use no randomness. Outputs are binary
+dataset/checkpoint files and CSVs meant for any plotting tool. Every
+usage error, whether a bad flag or a setting the data rules out, is one
+stderr line "cvnet <command>: error: ..." and exit code 2.
 """
 
 from __future__ import annotations
@@ -11,14 +13,40 @@ import argparse
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import datagen, gradcheck, nn, spectral, trainer
 from .complex_ops import FormatError
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors are one line, like main()'s."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
+def _int_type(lo: int, bits: int | None = None):
+    """argparse type: an integer >= lo and, given bits, < 2**bits."""
+    rule = f">= {lo}" + (f" and < 2**{bits}" if bits else "")
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+        if value < lo or (bits and value >= 2**bits):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {value}")
+        return value
+
+    return parse
+
+
+SEED = _int_type(0, bits=64)  # seeds feed SeedSequence and the u64 dataset header
+COUNT = _int_type(0)  # observations per partition
+POSITIVE = _int_type(1)  # hidden width, worker processes, filter rows
+
+
 def _add_seed(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0, help="deterministic seed (default 0)")
+    p.add_argument("--seed", type=SEED, default=0, help="deterministic seed (default 0)")
 
 
 def cmd_gen(args) -> int:
@@ -105,57 +133,8 @@ def cmd_gradcheck(args) -> int:
     return 0 if gradcheck.all_passed(entries) else 1
 
 
-def cmd_selftest(args) -> int:
-    entries = gradcheck.run_gradcheck(seed=args.seed)
-    entries.extend(_selftest_extras(args.seed))
-    print(gradcheck.format_report(entries))
-    return 0 if gradcheck.all_passed(entries) else 1
-
-
-def _selftest_extras(seed: int) -> list[gradcheck.CheckEntry]:
-    from . import autodiff as ad
-    from .complex_ops import make_rng, sample_circular_gaussian
-
-    checks: list[gradcheck.CheckEntry] = []
-    rng = make_rng(seed, 909)
-
-    x = sample_circular_gaussian(rng, 64, 1.0)
-    err = float(np.max(np.abs(spectral.idft(spectral.dft(x)) - x)))
-    checks.append(gradcheck.CheckEntry("dft:roundtrip", err, 1e-10, err < 1e-10))
-
-    spec = spectral.dft(x)
-    lhs = float(np.sum(np.abs(x) ** 2))
-    rhs = float(np.sum(np.abs(spec) ** 2)) / x.size
-    err = abs(lhs - rhs) / lhs
-    checks.append(gradcheck.CheckEntry("dft:parseval", err, 1e-10, err < 1e-10))
-
-    a = datagen.generate_bundle(datagen.DatasetKind.SAWTOOTH, seed, 4, 2, 2)
-    b = datagen.generate_bundle(datagen.DatasetKind.SAWTOOTH, seed, 4, 2, 2)
-    same = datagen.bundles_equal(a, b)
-    checks.append(gradcheck.CheckEntry("data:determinism", 0.0 if same else 1.0, 1.0, same))
-
-    import tempfile
-
-    model = nn.init_model(8, 3, 8, field="complex", init_scale=0.5, seed=seed)
-    with tempfile.NamedTemporaryFile(suffix=".cvnn") as fh:
-        nn.save_model(model, fh.name)
-        loaded = nn.load_model(fh.name)
-    rt = all(
-        model.params()[name].tobytes() == loaded.params()[name].tobytes()
-        for name in nn.PARAM_ORDER
-    )
-    checks.append(gradcheck.CheckEntry("checkpoint:roundtrip", 0.0 if rt else 1.0, 1.0, rt))
-
-    probes = [0.8 * sample_circular_gaussian(rng, 2, 1.0) for _ in range(20)]
-    holo_ok = ad.is_holomorphic_numeric(nn.ctanh_values, probes) and not ad.is_holomorphic_numeric(
-        nn.split_magnitude_values, probes
-    )
-    checks.append(gradcheck.CheckEntry("holomorphy:classes", 0.0 if holo_ok else 1.0, 1.0, holo_ok))
-    return checks
-
-
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cvnet",
         description="complex-valued recurrent networks on synthetic wide-band frame prediction",
     )
@@ -163,9 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a dataset file")
     p.add_argument("--kind", required=True, choices=[k.value for k in datagen.DatasetKind])
-    p.add_argument("--train", type=int, default=10000)
-    p.add_argument("--val", type=int, default=1000)
-    p.add_argument("--test", type=int, default=1000)
+    p.add_argument("--train", type=COUNT, default=10000)
+    p.add_argument("--val", type=COUNT, default=1000)
+    p.add_argument("--test", type=COUNT, default=1000)
     p.add_argument("--full-phase-range", action="store_true",
                    help="draw phases from [0, 2*pi) instead of [0, 1) radians")
     p.add_argument("--out", required=True)
@@ -175,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model")
     p.add_argument("--data", required=True)
     p.add_argument("--field", required=True, choices=["complex", "real"])
-    p.add_argument("--hidden", type=int, default=256)
+    p.add_argument("--hidden", type=POSITIVE, default=256)
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--lr0", type=float, required=True)
     p.add_argument("--momentum", type=float, default=0.9)
@@ -192,8 +171,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True)
     p.add_argument("--field", required=True, choices=["complex", "real"])
     p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--hidden", type=int, default=256)
+    p.add_argument("--jobs", type=POSITIVE, default=1)
+    p.add_argument("--hidden", type=POSITIVE, default=256)
     p.add_argument("--epochs", type=int, default=1000)
     p.add_argument("--batch-size", type=int, default=1000)
     p.add_argument("--out", required=True)
@@ -208,17 +187,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("filters", help="export filter magnitude responses as CSV")
     p.add_argument("--model", required=True)
-    p.add_argument("--rows", type=int, default=3)
+    p.add_argument("--rows", type=POSITIVE, default=3)
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_filters)
 
     p = sub.add_parser("gradcheck", help="check analytic derivatives against finite differences")
     _add_seed(p)
     p.set_defaults(fn=cmd_gradcheck)
-
-    p = sub.add_parser("selftest", help="gradcheck plus quick invariant checks")
-    _add_seed(p)
-    p.set_defaults(fn=cmd_selftest)
 
     return parser
 

@@ -88,12 +88,6 @@ class WaveformSpec:
         return float(self.freqs[0])
 
 
-@dataclass(frozen=True)
-class Observation:
-    samples: np.ndarray  # (1024,) complex128
-    spec: WaveformSpec
-
-
 # synthesize() splits the sample index as t = _SPLIT * a + b, a and b in
 # [0, _SPLIT). Columns 0.._SPLIT-1 of _SPLIT_STEPS are the outer steps
 # _SPLIT * a, the rest the inner steps b.
@@ -184,31 +178,9 @@ def draw_spec(
     return draw_inharmonic_spec(rng, kind.analytic, full_phase_range)
 
 
-def gen_observation(
-    kind: DatasetKind, rng: np.random.Generator, full_phase_range: bool = False
-) -> Observation:
-    spec = draw_spec(kind, rng, full_phase_range)
-    return Observation(samples=synthesize(spec), spec=spec)
-
-
-def make_analytic(spec: WaveformSpec) -> Observation:
-    """Analytic observation from any spec: same components, one-sided."""
-    a_spec = WaveformSpec(spec.freqs, spec.amps, spec.phases, analytic=True)
-    return Observation(samples=synthesize(a_spec), spec=a_spec)
-
-
 def periods_per_frame(spec: WaveformSpec) -> float:
     """Fundamental periods inside one 256-sample frame."""
     return FRAME_LEN * spec.fundamental
-
-
-def split_frames(samples: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
-    """Rectangular split into three input frames and the target frame."""
-    samples = np.asarray(samples)
-    if samples.shape != (N_SAMPLES,):
-        raise ValueError(f"expected {N_SAMPLES} samples, got shape {samples.shape}")
-    frames = [samples[i * FRAME_LEN : (i + 1) * FRAME_LEN] for i in range(N_FRAMES)]
-    return frames[:3], frames[3]
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +207,7 @@ def _gen_partition(kind, seed, stream, count, full_phase_range):
     out = np.empty((count, N_SAMPLES), dtype=COMPLEX)
     for i in range(count):
         rng = make_rng(seed, stream, i)
-        out[i] = gen_observation(kind, rng, full_phase_range).samples
+        out[i] = synthesize(draw_spec(kind, rng, full_phase_range))
     return out
 
 
@@ -257,15 +229,6 @@ def generate_bundle(
     )
 
 
-def partition_specs(bundle: DatasetBundle, partition: str) -> list[WaveformSpec]:
-    """Regenerate the per-observation specs (they are not stored on disk)."""
-    stream = _PARTITION_STREAMS[partition]
-    count = bundle.partition(partition).shape[0]
-    return [
-        draw_spec(bundle.kind, make_rng(bundle.seed, stream, i)) for i in range(count)
-    ]
-
-
 def bundles_equal(a: DatasetBundle, b: DatasetBundle) -> bool:
     return (
         a.kind == b.kind
@@ -282,7 +245,8 @@ def bundles_equal(a: DatasetBundle, b: DatasetBundle) -> bool:
 # ---------------------------------------------------------------------------
 # magic "CVDS", version u8 = 1, kind u8, seed u64 LE, counts 3 x u32 LE,
 # then train/val/test observations as 1024 little-endian float64 (re, im)
-# pairs each. Specs are regenerable from the seed and are not stored.
+# pairs each. Specs are not stored: draw_spec(kind, make_rng(seed, stream, i))
+# regenerates observation i of the partition with stream 0, 1 or 2.
 
 _DATASET_MAGIC = b"CVDS"
 _DATASET_VERSION = 1

@@ -105,7 +105,6 @@ def split_magnitude(x) -> ad.Var:
 class ActivationKind(str, Enum):
     COMPLEX_TANH = "complex-tanh"
     SPLIT_MAGNITUDE = "split-magnitude"
-    LINEAR = "linear"
     REAL_TANH = "real-tanh"
 
 
@@ -116,8 +115,6 @@ def apply_activation(x: ad.Var, kind: ActivationKind) -> ad.Var:
         return ctanh(x)
     if kind is ActivationKind.SPLIT_MAGNITUDE:
         return split_magnitude(x)
-    if kind is ActivationKind.LINEAR:
-        return x
     raise ValueError(f"unknown activation {kind!r}")
 
 
@@ -154,7 +151,6 @@ _FIELD_TAGS = {"complex": 0, "real": 1}
 _ACTIVATION_TAGS = {
     ActivationKind.COMPLEX_TANH: 0,
     ActivationKind.SPLIT_MAGNITUDE: 1,
-    ActivationKind.LINEAR: 2,
     ActivationKind.REAL_TANH: 3,
 }
 _CHECKPOINT_MAGIC = b"CVNN"
@@ -187,8 +183,8 @@ class RecurrentModel:
         if self.field not in _FIELD_TAGS:
             raise ValueError(f"field must be 'complex' or 'real', got {self.field!r}")
         if self.field == "real":
-            if self.activation not in (ActivationKind.REAL_TANH, ActivationKind.LINEAR):
-                raise ValueError("real-field models use the real-tanh (or linear) activation")
+            if self.activation is not ActivationKind.REAL_TANH:
+                raise ValueError("real-field models use the real-tanh activation")
             for name, arr in self.params().items():
                 if np.any(arr.imag != 0.0):
                     raise ValueError(f"real-field model has nonzero imaginary part in {name}")

@@ -16,7 +16,7 @@ import numpy as np
 
 from .complex_ops import COMPLEX
 from .nn import RecurrentModel
-from .trainer import _fmt
+from .trainer import ConfigError, _fmt
 
 
 @lru_cache(maxsize=8)
@@ -32,13 +32,6 @@ def dft_matrix(n: int) -> np.ndarray:
 def dft(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=COMPLEX)
     return dft_matrix(x.shape[-1]) @ x if x.ndim == 1 else x @ dft_matrix(x.shape[-1]).T
-
-
-def idft(spectrum: np.ndarray) -> np.ndarray:
-    spectrum = np.asarray(spectrum, dtype=COMPLEX)
-    n = spectrum.shape[-1]
-    m = np.conj(dft_matrix(n))
-    return (m @ spectrum if spectrum.ndim == 1 else spectrum @ m.T) / n
 
 
 def negative_bins(n: int) -> np.ndarray:
@@ -64,7 +57,7 @@ def filter_response(model: RecurrentModel, row: int) -> np.ndarray:
 def write_filters_csv(model: RecurrentModel, rows: int, path) -> None:
     """Long-format export: one line per (filter, bin) with the magnitude."""
     if not 1 <= rows <= model.hidden:
-        raise ValueError(f"rows must be in [1, {model.hidden}], got {rows}")
+        raise ConfigError(f"rows must be in [1, {model.hidden}], got {rows}")
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["filter", "bin", "magnitude"])

@@ -137,6 +137,11 @@ def _check_dims(model: nn.RecurrentModel, kind: datagen.DatasetKind) -> None:
         )
 
 
+def _check_nonempty(samples: np.ndarray, what: str) -> None:
+    if len(samples) == 0:
+        raise ConfigError(f"{what} has no observations")
+
+
 def _batch_slices(n: int, batch_size: int) -> list[slice]:
     return [slice(lo, min(lo + batch_size, n)) for lo in range(0, n, batch_size)]
 
@@ -144,6 +149,7 @@ def _batch_slices(n: int, batch_size: int) -> list[slice]:
 def evaluate(model: nn.RecurrentModel, samples: np.ndarray, kind: datagen.DatasetKind) -> float:
     """Mean squared error per real DOF over a partition; no gradients."""
     _check_dims(model, kind)
+    _check_nonempty(samples, "the partition to evaluate")
     frames, target = datagen.build_views(samples, kind, model.field)
     loss, _ = nn.forward_loss(model, frames, target)
     return float(loss.value.real)
@@ -173,6 +179,8 @@ def train(
     accumulated.
     """
     _check_dims(model, data.kind)
+    _check_nonempty(data.train, "the training partition")
+    _check_nonempty(data.val, "the validation partition")
     train_frames, train_target = datagen.build_views(data.train, data.kind, model.field)
     val_frames, val_target = datagen.build_views(data.val, data.kind, model.field)
     n_train = data.train.shape[0]

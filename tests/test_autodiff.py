@@ -45,8 +45,8 @@ class TestNumericOracle:
 
 class TestComposePairs:
     def test_holomorphic_composition_stays_holomorphic(self):
-        inner = ad.JacobianPair.holomorphic(np.array([[2 + 1j]]))
-        outer = ad.JacobianPair.holomorphic(np.array([[0.5 - 3j]]))
+        inner = ad.JacobianPair(np.array([[2 + 1j]]), np.zeros((1, 1), dtype=complex))
+        outer = ad.JacobianPair(np.array([[0.5 - 3j]]), np.zeros((1, 1), dtype=complex))
         composed = ad.compose_pairs(outer, inner)
         assert np.all(composed.jc == 0)
 
@@ -89,8 +89,8 @@ class TestComposePairs:
         np.testing.assert_allclose(pair.jc, oracle.jc, rtol=1e-5, atol=1e-6)
 
     def test_shape_mismatch(self):
-        a = ad.JacobianPair.holomorphic(np.zeros((2, 3)))
-        b = ad.JacobianPair.holomorphic(np.zeros((2, 3)))
+        a = ad.JacobianPair(np.zeros((2, 3)), np.zeros((2, 3)))
+        b = ad.JacobianPair(np.zeros((2, 3)), np.zeros((2, 3)))
         with pytest.raises(ad.DimensionError):
             ad.compose_pairs(a, b)
 
@@ -252,6 +252,8 @@ class TestPromote:
 
 
 class TestDualChannel:
+    """backward()'s one channel against both channels of the oracle."""
+
     def _graph(self, warr, x, t, act):
         w = ad.Var(warr)
         out = act(w @ ad.Var(x))
@@ -263,17 +265,12 @@ class TestDualChannel:
         warr = 0.7 * sample_circular_gaussian(rng, (3, 4), 1.0)
         x = sample_circular_gaussian(rng, (4, 2), 1.0)
         t = sample_circular_gaussian(rng, (3, 2), 1.0)
-        w1, loss1 = self._graph(warr, x, t, act)
-        s1 = ad.backward(loss1)
-        w2, loss2 = self._graph(warr, x, t, act)
-        s2 = ad.backward_dual(loss2)
-        np.testing.assert_array_equal(s1[w1], s2[w2])
-
-    def test_symmetry_check_passes_on_real_loss(self):
-        rng = make_rng(34)
-        z = ad.Var(sample_circular_gaussian(rng, 4, 1.0))
-        loss = ad.sum_abs2(nn.split_magnitude(ad.conj(z)))
-        ad.backward_dual(loss, symmetry_rtol=1e-10)  # must not raise
+        w, loss = self._graph(warr, x, t, act)
+        single = ad.backward(loss)[w]
+        oracle = ad.wirtinger_pair_numeric(lambda u: self._graph(u, x, t, act)[1].value, warr)
+        # A real loss has dL/dz = conj(dL/d(conj z)), so one channel suffices.
+        np.testing.assert_array_equal(oracle.j, np.conj(oracle.jc))
+        np.testing.assert_allclose(single, oracle.jc.reshape(warr.shape), rtol=1e-6, atol=1e-9)
 
     def test_gradients_conjugate_pair_at_leaves(self):
         # dL/dz = conj(dL/dzbar) for a real loss; the dual path exposes both

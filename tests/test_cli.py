@@ -1,6 +1,8 @@
 """End-to-end command flows at tiny scale."""
 
+import argparse
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -126,24 +128,71 @@ class TestSearch:
         assert (out / "best_model.cvnn").exists()
 
 
+# Placeholders in the argv lists below, filled in by `usage_files`.
+TRAIN = ["train", "--field", "complex", "--epochs", "1", "--lr0", "1e-4",
+         "--half-life", "50", "--init-scale", "0.5", "--out", "OUT"]
+SEARCH = ["search", "--field", "complex", "--epochs", "1", "--out", "OUT"]
+GEN = ["gen", "--kind", "sawtooth", "--out", "OUT"]
+FILTERS = ["filters", "--model", "MODEL", "--out", "OUT"]
+
+
+@pytest.fixture(scope="module")
+def usage_files(tmp_path_factory, data_file):
+    root = tmp_path_factory.mktemp("usage")
+    files = {name: root / name for name in ("SHORT", "NOTRAIN", "NOVAL", "MODEL", "OUT")}
+    files["DATA"] = data_file
+    files["SHORT"].write_bytes(bytes(10))
+    datagen.write_dataset(datagen.generate_bundle("sawtooth", 1, 0, 2, 2), files["NOTRAIN"])
+    datagen.write_dataset(datagen.generate_bundle("sawtooth", 1, 2, 0, 2), files["NOVAL"])
+    nn.save_model(nn.init_model(256, 3, 256, seed=1), files["MODEL"])
+    return files
+
+
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
-        (["train", "--lr0", "1e-4", "--half-life", "50", "--init-scale", "0.5", "--clip", "0"],
+        (TRAIN + ["--data", "DATA", "--hidden", "4", "--clip", "0"],
          "cvnet train: error: clip must be positive, got 0.0"),
-        (["search", "--trials", "0"],
+        (SEARCH + ["--data", "DATA", "--hidden", "4", "--trials", "0"],
          "cvnet search: error: n_trials must be >= 1, got 0"),
-        (["search", "--trials", "1", "--data", "SHORT"],
+        (SEARCH + ["--data", "SHORT", "--hidden", "4", "--trials", "1"],
          "cvnet search: error: dataset truncated in header at byte 10"),
-    ], ids=["train-clip", "search-trials", "search-short-data"])
-    def test_one_line_and_exit_two(self, argv, message, data_file, tmp_path):
+        (GEN + ["--seed", "-1"],
+         "cvnet gen: error: argument --seed: must be >= 0 and < 2**64, got -1"),
+        (GEN + ["--seed", str(2**64)],
+         f"cvnet gen: error: argument --seed: must be >= 0 and < 2**64, got {2**64}"),
+        (GEN + ["--seed", "x"],
+         "cvnet gen: error: argument --seed: expected an integer, got 'x'"),
+        (GEN + ["--train", "-1"],
+         "cvnet gen: error: argument --train: must be >= 0, got -1"),
+        (GEN + ["--test", "-1"],
+         "cvnet gen: error: argument --test: must be >= 0, got -1"),
+        (TRAIN + ["--data", "DATA", "--seed", "-1"],
+         "cvnet train: error: argument --seed: must be >= 0 and < 2**64, got -1"),
+        (TRAIN + ["--data", "DATA", "--hidden", "0"],
+         "cvnet train: error: argument --hidden: must be >= 1, got 0"),
+        (SEARCH + ["--data", "DATA", "--seed", "-1"],
+         "cvnet search: error: argument --seed: must be >= 0 and < 2**64, got -1"),
+        (SEARCH + ["--data", "DATA", "--jobs", "0"],
+         "cvnet search: error: argument --jobs: must be >= 1, got 0"),
+        (FILTERS + ["--rows", "0"],
+         "cvnet filters: error: argument --rows: must be >= 1, got 0"),
+        (TRAIN + ["--data", "NOTRAIN", "--hidden", "4"],
+         "cvnet train: error: the training partition has no observations"),
+        (TRAIN + ["--data", "NOVAL", "--hidden", "4"],
+         "cvnet train: error: the validation partition has no observations"),
+        (["eval", "--model", "MODEL", "--data", "NOTRAIN", "--partition", "train"],
+         "cvnet eval: error: the partition to evaluate has no observations"),
+        (FILTERS + ["--rows", "99"],
+         "cvnet filters: error: rows must be in [1, 3], got 99"),
+    ], ids=["train-clip", "search-trials", "search-short-data", "gen-seed-negative",
+            "gen-seed-too-large", "gen-seed-not-int", "gen-train-negative",
+            "gen-test-negative", "train-seed-negative", "train-hidden-zero",
+            "search-seed-negative", "search-jobs-zero", "filters-rows-zero",
+            "train-empty-train", "train-empty-val", "eval-empty-partition",
+            "filters-rows-too-many"])
+    def test_one_line_and_exit_two(self, argv, message, usage_files):
         # A bad setting or input file is a usage error, not a traceback.
-        short = tmp_path / "short.cvds"
-        short.write_bytes(bytes(10))
-        argv = [str(short) if a == "SHORT" else a for a in argv]
-        if "--data" not in argv:
-            argv += ["--data", str(data_file)]
-        proc = cli_subprocess(argv + ["--field", "complex", "--hidden", "4",
-                                      "--epochs", "1", "--out", str(tmp_path / "out")])
+        proc = cli_subprocess([str(usage_files.get(a, a)) for a in argv])
         assert proc.returncode == 2
         assert proc.stderr.splitlines() == [message]
         assert "Traceback" not in proc.stderr + proc.stdout
@@ -154,11 +203,6 @@ class TestChecks:
         assert run(["gradcheck", "--seed", "11"]) == 0
         out = capsys.readouterr().out
         assert "PASS" in out and "FAIL" not in out
-
-    def test_selftest_exit_zero(self, capsys):
-        assert run(["selftest", "--seed", "11"]) == 0
-        out = capsys.readouterr().out
-        assert "dft:parseval" in out and "FAIL" not in out
 
     def test_gradcheck_flags_corrupted_derivative(self, monkeypatch, capsys):
         import cvnet.autodiff as ad
@@ -192,3 +236,14 @@ class TestChecks:
             assert proc.returncode == 0, proc.stderr
             outs.append(proc.stdout)
         assert outs[0] == outs[1]
+
+
+class TestReadme:
+    def test_every_documented_command_exists(self):
+        readme = Path(__file__).resolve().parents[1] / "README.md"
+        blocks = re.findall(r"^```.*?\n(.*?)^```", readme.read_text(), re.M | re.S)
+        documented = set(re.findall(r"\bcvnet ([\w-]+)", "".join(blocks)))
+        parser = cli.build_parser()
+        (commands,) = [a.choices for a in parser._actions
+                       if isinstance(a, argparse._SubParsersAction)]
+        assert documented and documented <= set(commands)

@@ -1,5 +1,7 @@
 """Waveform generators, frame handling, and the dataset file format."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -55,8 +57,8 @@ class TestSawtoothSpec:
         assert 62 <= mean <= 66
 
     def test_real_waveform_has_zero_imag(self):
-        obs = dg.gen_observation(dg.DatasetKind.SAWTOOTH, make_rng(6))
-        assert np.all(obs.samples.imag == 0)
+        samples = dg.synthesize(dg.draw_spec(dg.DatasetKind.SAWTOOTH, make_rng(6)))
+        assert np.all(samples.imag == 0)
 
     def test_harmonic_amplitude_law_integer_bin(self):
         # leakage-free fundamental: peak magnitudes follow 1/n within 20%
@@ -154,10 +156,11 @@ class TestAnalytic:
     def test_real_part_matches_real_waveform(self):
         rng = make_rng(7)
         spec = dg.draw_sawtooth_spec(rng)
+        assert not spec.analytic
         real_obs = dg.synthesize(spec)
-        analytic_obs = dg.make_analytic(spec)
-        np.testing.assert_allclose(analytic_obs.samples.real, real_obs.real, atol=1e-12)
-        assert analytic_obs.spec.analytic
+        analytic_obs = dg.synthesize(dataclasses.replace(spec, analytic=True))
+        np.testing.assert_allclose(analytic_obs.real, real_obs.real, atol=1e-12)
+        assert np.any(analytic_obs.imag != 0)
 
     def test_exact_bin_spectra_are_one_sided(self):
         # integer-bin components: negative-frequency bins below 1e-9 x peak
@@ -173,7 +176,7 @@ class TestAnalytic:
         # X_real[k] = (X[k] + conj(X[(N-k) % N])) / 2 exactly
         rng = make_rng(8)
         spec = dg.draw_inharmonic_spec(rng)
-        xa = dg.make_analytic(spec).samples
+        xa = dg.synthesize(dataclasses.replace(spec, analytic=True))
         xr = dg.synthesize(spec)
         sa, sr = dft(xa), dft(xr)
         folded = 0.5 * (sa + np.conj(sa[(-np.arange(dg.N_SAMPLES)) % dg.N_SAMPLES]))
@@ -184,7 +187,7 @@ class TestAnalytic:
         # signal's mirrored peaks in total energy
         rng = make_rng(9)
         spec = dg.draw_inharmonic_spec(rng)
-        xa = dg.make_analytic(spec).samples
+        xa = dg.synthesize(dataclasses.replace(spec, analytic=True))
         xr = dg.synthesize(spec)
         neg = negative_bins(dg.N_SAMPLES)
         ea = np.sum(np.abs(dft(xa)[neg]) ** 2)
@@ -201,8 +204,8 @@ class TestInharmonic:
 
     def test_amplitude_bounded_by_one(self):
         for i in range(20):
-            obs = dg.gen_observation(dg.DatasetKind.INHARMONIC, make_rng(11, i))
-            assert np.max(np.abs(obs.samples)) <= 1.0 + 1e-12
+            samples = dg.synthesize(dg.draw_spec(dg.DatasetKind.INHARMONIC, make_rng(11, i)))
+            assert np.max(np.abs(samples)) <= 1.0 + 1e-12
 
     def test_well_separated_draws_show_five_peaks(self):
         rng = make_rng(12)
@@ -220,30 +223,34 @@ class TestInharmonic:
         assert found == 5
 
 
+def complex_frames(samples):
+    """One observation's four frames, as build_views' complex columns."""
+    frames, target = dg.build_views(samples, dg.DatasetKind.SAWTOOTH, "complex")
+    return [f[:, 0] for f in frames + [target]]
+
+
 class TestFrames:
     def test_concat_roundtrip(self):
-        obs = dg.gen_observation(dg.DatasetKind.SAWTOOTH, make_rng(13))
-        frames, target = dg.split_frames(obs.samples)
-        rebuilt = np.concatenate(frames + [target])
-        np.testing.assert_array_equal(rebuilt, obs.samples)
+        samples = dg.synthesize(dg.draw_spec(dg.DatasetKind.SAWTOOTH, make_rng(13)))
+        rebuilt = np.concatenate(complex_frames(samples))
+        np.testing.assert_array_equal(rebuilt, samples)
 
     def test_partition_of_indices(self):
-        frames, target = dg.split_frames(np.arange(1024).astype(complex))
+        frames = complex_frames(np.arange(1024).astype(complex))
         assert frames[0][0] == 0 and frames[1][0] == 256 and frames[2][0] == 512
-        assert target[0] == 768 and target[-1] == 1023
+        assert frames[3][0] == 768 and frames[3][-1] == 1023
 
     def test_integer_bin_sinusoid_frames_share_spectrum(self):
         f = 12 / dg.FRAME_LEN  # integer bin within each 256-frame too
         t = np.arange(dg.N_SAMPLES)
         x = np.cos(2 * np.pi * f * t).astype(complex)
-        frames, target = dg.split_frames(x)
-        mags = [np.abs(brute_force_dft(fr)[:128]) for fr in frames + [target]]
+        mags = [np.abs(brute_force_dft(fr)[:128]) for fr in complex_frames(x)]
         for m in mags[1:]:
             np.testing.assert_allclose(m, mags[0], atol=1e-8)
 
     def test_wrong_length(self):
         with pytest.raises(ValueError):
-            dg.split_frames(np.zeros(1000))
+            complex_frames(np.zeros(1000))
 
 
 class TestBundleIO:
@@ -296,12 +303,11 @@ class TestBundleIO:
         assert not np.array_equal(bundle.val[0], bundle.test[0])
 
     def test_specs_regenerable(self):
+        # Specs are not stored; the val stream (1) and the index redraw them.
         bundle = self.small_bundle()
-        specs = dg.partition_specs(bundle, "val")
-        assert len(specs) == 3
-        np.testing.assert_allclose(
-            dg.synthesize(specs[0]), bundle.val[0], atol=0
-        )
+        for i in range(3):
+            spec = dg.draw_spec(bundle.kind, make_rng(bundle.seed, 1, i))
+            np.testing.assert_allclose(dg.synthesize(spec), bundle.val[i], atol=0)
 
 
 class TestModelViews:

@@ -161,6 +161,17 @@ class TestTrain:
         with pytest.raises(trainer.ConfigError, match="dims"):
             trainer.train(model, small_data, cfg)
 
+    def test_empty_partition_is_config_error(self, small_data):
+        cfg = trainer.TrainConfig(lr0=1e-3, half_life=20.0, init_scale=0.4,
+                                  epochs=1, batch_size=20)
+        model = nn.init_model(256, 4, 256, field="complex", seed=7)
+        for partition in ("train", "val"):
+            empty = dataclasses.replace(small_data, **{partition: small_data.train[:0]})
+            with pytest.raises(trainer.ConfigError, match="no observations"):
+                trainer.train(model, empty, cfg)
+        with pytest.raises(trainer.ConfigError, match="no observations"):
+            trainer.evaluate(model, small_data.test[:0], small_data.kind)
+
     def test_real_model_keeps_zero_imag_throughout(self, small_data, monkeypatch):
         # Zero imaginary parts hold by construction: parameters, cogradients
         # and velocity are float64 at every step.
