@@ -2,6 +2,7 @@
 """A/B benchmark: a parent commit against the working tree, in alternating pairs.
 
     python scripts/bench_ab.py --out BENCH_6.json --pairs 10 --parent HEAD~1
+    python scripts/bench_ab.py --out BENCH_9.json --pairs 10 --parent HEAD~1 --trace
 
 The parent commit (--parent, default HEAD) is exported with `git archive`
 into a temporary directory. For every workload, pair k = 1..pairs runs
@@ -15,8 +16,11 @@ parent's by more than the metric's bound in BENCHMARK.json; plus both
 SHAs, each side's environment block and whether both sides ran the same
 source (`same_source`, from the env blocks' `src_sha256`; a warning is
 printed when they did, as when --parent is HEAD and the working tree is
-clean). Exit code 0 means every run passed its checks and no metric was
-flagged.
+clean). With --trace, each side also makes one traced run per workload
+(`perfbench/run.py --trace 1 --seed 1`), and the workload's `per_layer`
+entry holds each per-layer metric of BENCHMARK.json for both sides with
+its relative change; without it `per_layer` is null. Exit code 0 means
+every run passed its checks and no metric was flagged.
 """
 
 from __future__ import annotations
@@ -46,10 +50,11 @@ def export(rev: str, dest: Path) -> None:
         tar.extractall(dest, **safe)
 
 
-def run_once(root: Path, workload: str, seed: int, seconds: float, quick: bool) -> dict:
+def run_once(root: Path, workload: str, seed: int, seconds: float, quick: bool,
+             trace: int = 0) -> dict:
     """One perfbench/run.py call from `root`: its env block, checks and metric values."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", "0"] + (["--quick"] if quick else [])
+           "--seconds", str(seconds), "--trace", str(trace)] + (["--quick"] if quick else [])
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     env, result = None, {}
     for line in proc.stdout.splitlines():
@@ -81,6 +86,10 @@ def spread(values: list[float]) -> dict:
     return {"values": values, "median": statistics.median(values), "iqr": q3 - q1}
 
 
+def relative(base, new):
+    return None if base in (None, 0) or new is None else (new - base) / abs(base)
+
+
 def compare(spec: dict, runs: dict) -> dict:
     """Per-metric summary of one workload's pairs."""
     out = {}
@@ -92,11 +101,22 @@ def compare(spec: dict, runs: dict) -> dict:
         wins = sum((c["metrics"][name] < p["metrics"][name]) if lower
                    else (c["metrics"][name] > p["metrics"][name]) for p, c in pairs)
         base, new = summary["parent"]["median"], summary["change"]["median"]
-        rel = None if base in (None, 0) or new is None else (new - base) / abs(base)
+        rel = relative(base, new)
         worse = rel is not None and (rel > m["bound"] if lower else -rel > m["bound"])
         out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"], **summary,
                      "rel_change": rel, "wins": wins, "pairs": len(pairs),
                      "worse_beyond_bound": worse}
+    return out
+
+
+def per_layer(spec: dict, traced: dict) -> dict:
+    """Both sides' values of every per-layer metric, from one traced run each."""
+    out = {"ok": {side: traced[side]["ok"] for side in SIDES}, "seed": traced["parent"]["seed"],
+           "metrics": {}}
+    for m in spec["per_layer"]:
+        vals = {side: traced[side]["metrics"].get(m["name"]) for side in SIDES}
+        out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"], **vals,
+                                     "rel_change": relative(vals["parent"], vals["change"])}
     return out
 
 
@@ -108,6 +128,8 @@ def main(argv=None) -> int:
     ap.add_argument("--pairs", type=int, default=5, help="alternating pairs per workload")
     ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--quick", action="store_true", help="tiny shapes; checks the plumbing only")
+    ap.add_argument("--trace", action="store_true",
+                    help="add one traced run per side and workload for per-layer metrics")
     args = ap.parse_args(argv)
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -140,8 +162,16 @@ def main(argv=None) -> int:
             if same:
                 print(f"warning: {workload}: parent and change ran the same source",
                       file=sys.stderr)
+            traced = None
+            if args.trace:
+                traced = {side: run_once(roots[side], workload, 1, seconds, args.quick, trace=1)
+                          for side in SIDES}
+                for side, run in traced.items():
+                    print(f"{workload} traced {side}: {'ok' if run['ok'] else 'FAILED'}",
+                          file=sys.stderr, flush=True)
             report["workloads"][workload] = {
                 "seeds": list(seeds), "env": env, "same_source": same,
+                "per_layer": None if traced is None else per_layer(spec, traced),
                 "failed_runs": {side: sum(not r["ok"] for r in runs[side]) for side in SIDES},
                 "metrics": compare(spec, runs),
                 "runs": {side: [{k: v for k, v in r.items() if k != "env"} for r in runs[side]]
@@ -151,6 +181,8 @@ def main(argv=None) -> int:
                          for name, m in entry["metrics"].items() if m["worse_beyond_bound"]]
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     failed = sum(n for entry in report["workloads"].values() for n in entry["failed_runs"].values())
+    failed += sum(not ok for entry in report["workloads"].values() if entry["per_layer"]
+                  for ok in entry["per_layer"]["ok"].values())
     print(f"wrote {args.out}: {failed} failed run(s), flagged {report['flagged'] or 'nothing'}",
           file=sys.stderr)
     return 0 if not failed and not report["flagged"] else 1

@@ -26,6 +26,14 @@ root this makes the emitted cogradient equal to the residual with no
 factor-two fudge. On a float64 graph conj() is the identity and the same
 rules give half the ordinary gradient (Kreutz-Delgado, arXiv 0906.4835).
 
+Only rules with Jc != 0 read gamma: those of the non-holomorphic
+elementwise ops and of the real-root ops. backward() computes
+gamma = conj(delta) for those nodes alone and passes gamma=None to the
+rest (linear ops, holomorphic activations), so a holomorphic network's
+backward pass takes no conjugate of a cogradient. Finiteness is checked
+once per pass, on the leaf cogradients; only when that check fails are the
+emissions replayed to name the node that first emitted a NaN or inf.
+
 wirtinger_pair_numeric() computes (J, Jc) by central finite differences on
 the real and imaginary axes. It is the one independent reference: every
 analytic derivative in the registry, and backward() on whole graphs, is
@@ -71,16 +79,18 @@ class Var:
     grad:  conjugate cogradient dL/d(conj z), filled in by backward().
     emit:  closure (gamma, delta) -> per-parent contributions, or None
            for leaves. gamma plays the role of dL/dz on the output wire.
+    reads_gamma: whether emit's rules read gamma; backward() passes
+           gamma=None to every other node.
 
     Var(value) makes a leaf; every other node comes from _node().
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "emit")
+    __slots__ = ("value", "grad", "op", "parents", "emit", "reads_gamma")
     # ndarray operators return NotImplemented, so `array + var` and
     # `array @ var` reach __radd__/__rmatmul__ and build one node.
     __array_ufunc__ = None
 
-    def __init__(self, value, op="leaf", parents=(), emit=None):
+    def __init__(self, value, op="leaf", parents=(), emit=None, reads_gamma=False):
         self.value = promote(value)
         if op == "leaf":
             ensure_finite(self.value, "leaf value")
@@ -88,6 +98,7 @@ class Var:
         self.op = op
         self.parents = tuple(parents)
         self.emit = emit
+        self.reads_gamma = reads_gamma
 
     @property
     def shape(self):
@@ -137,13 +148,16 @@ def _value(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else promote(x)
 
 
-def _node(value, op: str, operands: Sequence, rules: Sequence[Callable]) -> Var:
+def _node(
+    value, op: str, operands: Sequence, rules: Sequence[Callable], reads_gamma: bool = False
+) -> Var:
     """The one node builder: every non-leaf Var of the engine is made here.
 
     rules[k](gamma, delta) is the contribution the op pushes to operands[k].
     Operands that are Vars become the node's parents. Any other operand is
     a constant: it gets no parent edge, its rule is never run and it has no
-    cogradient.
+    cogradient. Rules that read gamma must say so with reads_gamma; the
+    others are called with gamma=None.
     """
     live = [(x, rule) for x, rule in zip(operands, rules) if isinstance(x, Var)]
     live_rules = [rule for _, rule in live]
@@ -151,7 +165,7 @@ def _node(value, op: str, operands: Sequence, rules: Sequence[Callable]) -> Var:
     def emit(gamma, delta):
         return tuple(rule(gamma, delta) for rule in live_rules)
 
-    return Var(value, op, [x for x, _ in live], emit)
+    return Var(value, op, [x for x, _ in live], emit, reads_gamma)
 
 
 def _unbroadcast(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -231,7 +245,7 @@ def elementwise(x, name: str) -> Var:
             j, jc = op.pair(xv, y)
             return gamma * jc + delta * np.conj(j)
 
-    return _node(y, name, (x,), (rule,))
+    return _node(y, name, (x,), (rule,), reads_gamma=not op.holomorphic)
 
 
 def conj(x) -> Var:
@@ -246,7 +260,8 @@ def sum_abs2(x) -> Var:
     """
     xv = _value(x)
     value = squared_norm(xv)
-    return _node(value, "sum_abs2", (x,), (lambda gamma, delta: (gamma + delta) * xv,))
+    return _node(value, "sum_abs2", (x,), (lambda gamma, delta: (gamma + delta) * xv,),
+                 reads_gamma=True)
 
 
 def mse(pred, target, n_dof: int) -> Var:
@@ -264,7 +279,8 @@ def mse(pred, target, n_dof: int) -> Var:
         raise ValueError(f"n_dof must be positive, got {n_dof}")
     e = pv - t
     value = squared_norm(e) / n_dof
-    return _node(value, "mse", (pred,), (lambda gamma, delta: (gamma + delta) * (e / n_dof),))
+    return _node(value, "mse", (pred,), (lambda gamma, delta: (gamma + delta) * (e / n_dof),),
+                 reads_gamma=True)
 
 
 # ---------------------------------------------------------------------------
@@ -298,11 +314,45 @@ def _check_real_root(root: Var) -> None:
         )
 
 
+def _channels(node: Var, root: Var, seed: float) -> tuple[np.ndarray | None, np.ndarray]:
+    """(gamma, delta) on a node's output wire, once its .grad is filled in.
+
+    The root carries the exact pair (seed, 0). Any other node carries
+    delta = .grad and gamma = conj(delta), which is computed only when the
+    node's rules read it.
+    """
+    if node is root:
+        return np.asarray(seed, dtype=node.value.dtype), np.zeros((), dtype=node.value.dtype)
+    return (node.grad.conj() if node.reads_gamma else None), node.grad
+
+
+def _nonfinite_origin(order: list[Var], root: Var, seed: float) -> str:
+    """Name the node where a non-finite cogradient first appeared.
+
+    Replays the emissions in backward order from the stored cogradients,
+    so it names the node whose emission was the first non-finite one.
+    """
+    for node in reversed(order):
+        if not np.all(np.isfinite(node.grad)):
+            # Every emission into it was finite: the sum overflowed.
+            return f"non-finite gradient accumulated at node '{node.op}'"
+        if node.emit is not None:
+            if not all(np.all(np.isfinite(c)) for c in node.emit(*_channels(node, root, seed))):
+                return f"non-finite gradient emitted by node '{node.op}'"
+    raise AssertionError("no non-finite cogradient in the graph")
+
+
 def backward(root: Var, seed: float = 1.0) -> dict[Var, np.ndarray]:
     """Fill .grad with dL/d(conj z) for every node; return the store.
 
     The store maps each node (by identity) to its conjugate cogradient;
     the plain cogradient dL/dz is its conjugate since the loss is real.
+    gamma = conj(delta) is computed only for nodes whose rules read it
+    (non-holomorphic elementwise ops and real-root ops). Finiteness is
+    checked once, on the leaf cogradients after the pass: every rule is
+    linear in (gamma, delta), so a NaN or inf emitted anywhere reaches
+    every leaf below it. If a leaf is non-finite, NumericError names the
+    node that first emitted a non-finite value.
     """
     _check_real_root(root)
     order = _toposort(root)
@@ -310,24 +360,20 @@ def backward(root: Var, seed: float = 1.0) -> dict[Var, np.ndarray]:
     store: dict[Var, np.ndarray] = {}
     for node in reversed(order):
         if node is root:
-            gamma = np.asarray(seed, dtype=node.value.dtype)
-            delta = np.zeros((), dtype=node.value.dtype)
-            node.grad = gamma.copy()  # seed, by convention
+            node.grad = np.asarray(seed, dtype=node.value.dtype).copy()  # seed, by convention
         else:
             delta = deltas.pop(id(node), None)
             if delta is None:
                 delta = np.zeros(node.value.shape, dtype=node.value.dtype)
-            gamma = delta.conj()
             node.grad = delta
         store[node] = node.grad
         if node.emit is None:
             continue
-        contribs = node.emit(gamma, delta)
-        for parent, c in zip(node.parents, contribs):
-            if not np.all(np.isfinite(c)):
-                raise NumericError(f"non-finite gradient emitted by node '{node.op}'")
+        for parent, c in zip(node.parents, node.emit(*_channels(node, root, seed))):
             prev = deltas.get(id(parent))
             deltas[id(parent)] = c if prev is None else prev + c
+    if not all(np.all(np.isfinite(n.grad)) for n in order if n.emit is None):
+        raise NumericError(_nonfinite_origin(order, root, seed))
     return store
 
 

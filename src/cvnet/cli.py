@@ -4,7 +4,8 @@ Every command is deterministic: gen, train, search and gradcheck draw
 from --seed, and eval and filters use no randomness. Outputs are binary
 dataset/checkpoint files and CSVs meant for any plotting tool. Every
 usage error, whether a bad flag or a setting the data rules out, is one
-stderr line "cvnet <command>: error: ..." and exit code 2.
+stderr line "cvnet <command>: error: ..." and exit code 2; so is a file
+that cannot be read or written.
 """
 
 from __future__ import annotations
@@ -202,7 +203,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (trainer.ConfigError, FormatError) as exc:
+    except (trainer.ConfigError, FormatError, OSError) as exc:
         print(f"cvnet {args.command}: error: {exc}", file=sys.stderr)
         return 2
 

@@ -9,8 +9,10 @@ A bounded non-holomorphic alternative, the phase-preserving magnitude
 squasher z / (1 + |z|), is registered as well. Both activations are
 registry ops: their graph nodes come from autodiff.elementwise, so the
 derivative pair that gradcheck validates is the one training runs.
-Data frames and the initial hidden state enter the graph as plain-array
-constants; only the six parameters are leaves that receive cogradients.
+Data frames enter the graph as plain-array constants, and the zero
+initial hidden state does not enter it at all: the first recurrent step
+has no W_rec product. Only the six parameters are leaves that receive
+cogradients.
 """
 
 from __future__ import annotations
@@ -270,9 +272,15 @@ def param_vars(model: RecurrentModel) -> dict[str, ad.Var]:
 def rnn_step(
     params: Mapping[str, ad.Var], h_prev, x, activation: ActivationKind
 ) -> ad.Var:
-    """One recurrent update h = act(W_in x + b_in + W_rec h_prev + b_rec)."""
-    pre = params["w_in"] @ x + params["b_in"] + params["w_rec"] @ h_prev + params["b_rec"]
-    return apply_activation(pre, activation)
+    """One recurrent update h = act(W_in x + b_in + W_rec h_prev + b_rec).
+
+    h_prev=None is the zero initial state: W_rec h_prev is exactly zero,
+    so the step builds no W_rec product and no node to add it.
+    """
+    pre = params["w_in"] @ x + params["b_in"]
+    if h_prev is not None:
+        pre = pre + params["w_rec"] @ h_prev
+    return apply_activation(pre + params["b_rec"], activation)
 
 
 def predict_frame(
@@ -280,13 +288,13 @@ def predict_frame(
 ) -> ad.Var:
     """Run three input frames through the recurrence; linear readout.
 
-    frames are (d_in, batch) columns; the initial hidden state is zero.
-    Plain-array frames and the zero state are constants of the graph.
+    frames are (d_in, batch) columns; plain-array frames are constants of
+    the graph. The initial hidden state is zero, so the first step has no
+    recurrent product.
     """
     if len(frames) != 3:
         raise ValueError(f"expected exactly 3 input frames, got {len(frames)}")
-    w_in = params["w_in"].value
-    h = np.zeros((w_in.shape[0], frames[0].shape[1]), dtype=w_in.dtype)
+    h = None
     for x in frames:
         h = rnn_step(params, h, x, activation)
     return params["w_out"] @ h + params["b_out"]

@@ -161,6 +161,7 @@ def zero_baseline_mse(samples: np.ndarray, kind: datagen.DatasetKind, field: str
     It reads the target frame only; the input frames are neither checked
     nor widened.
     """
+    _check_nonempty(samples, "the baseline partition")
     target = datagen.target_view(samples, kind, field)
     n_dof = nn.dof_multiplier(field) * target.size
     return float(squared_norm(target) / n_dof)

@@ -166,7 +166,36 @@ class TestBackward:
         with np.errstate(over="ignore", invalid="ignore"):
             z = ad.Var(scalar(1e200 + 0j))
             loss = ad.sum_abs2(z * z)  # overflows on the way down
-            with pytest.raises((ad.NumericError, ad.GradientContractError)):
+            with pytest.raises(ad.NumericError, match="emitted by node 'sum_abs2'"):
+                ad.backward(loss)
+
+    def test_nan_mid_graph_names_first_emitter(self, monkeypatch):
+        # A NaN derivative inside the graph: the matmul below ctanh emits
+        # NaN as well, but ctanh emitted it first.
+        original = ad.REGISTRY["ctanh"]
+
+        def nan_pair(z, y):
+            j, jc = original.pair(z, y)
+            return np.full_like(j, np.nan), jc
+
+        monkeypatch.setitem(ad.REGISTRY, "ctanh", ad.ElementwiseOp(
+            "ctanh", original.fn, nan_pair, original.holomorphic, original.probe_radius
+        ))
+        rng = make_rng(24)
+        w1 = ad.Var(0.5 * sample_circular_gaussian(rng, (3, 4), 1.0))
+        w2 = ad.Var(0.5 * sample_circular_gaussian(rng, (2, 3), 1.0))
+        x = sample_circular_gaussian(rng, (4, 5), 1.0)
+        loss = ad.mse(w2 @ nn.ctanh(w1 @ x), np.zeros((2, 5)), 20)
+        with pytest.raises(ad.NumericError, match="emitted by node 'ctanh'"):
+            ad.backward(loss)
+        assert np.all(np.isfinite(w2.grad)) and np.all(np.isnan(w1.grad))
+
+    def test_overflowing_sum_names_node(self):
+        # Each emission into x is 1e308, finite; their sum is not.
+        x = ad.Var(np.array(0.5))
+        loss = ad.sum_abs2(x * 1e154 + x * 1e154)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ad.NumericError, match="accumulated at node 'leaf'"):
                 ad.backward(loss)
 
     def test_grad_shapes_match_values(self):

@@ -139,7 +139,9 @@ FILTERS = ["filters", "--model", "MODEL", "--out", "OUT"]
 @pytest.fixture(scope="module")
 def usage_files(tmp_path_factory, data_file):
     root = tmp_path_factory.mktemp("usage")
-    files = {name: root / name for name in ("SHORT", "NOTRAIN", "NOVAL", "MODEL", "OUT")}
+    files = {name: root / name
+             for name in ("SHORT", "NOTRAIN", "NOVAL", "MODEL", "OUT", "MISSING")}
+    files["NODIR"] = root / "no-such-dir" / "x.cvds"
     files["DATA"] = data_file
     files["SHORT"].write_bytes(bytes(10))
     datagen.write_dataset(datagen.generate_bundle("sawtooth", 1, 0, 2, 2), files["NOTRAIN"])
@@ -184,17 +186,22 @@ class TestUsageErrors:
          "cvnet eval: error: the partition to evaluate has no observations"),
         (FILTERS + ["--rows", "99"],
          "cvnet filters: error: rows must be in [1, 3], got 99"),
+        (["eval", "--model", "MISSING", "--data", "DATA", "--partition", "val"],
+         "cvnet eval: error: [Errno 2] No such file or directory: '{MISSING}'"),
+        (["gen", "--kind", "sawtooth", "--train", "2", "--val", "2", "--test", "2",
+          "--out", "NODIR"],
+         "cvnet gen: error: [Errno 2] No such file or directory: '{NODIR}'"),
     ], ids=["train-clip", "search-trials", "search-short-data", "gen-seed-negative",
             "gen-seed-too-large", "gen-seed-not-int", "gen-train-negative",
             "gen-test-negative", "train-seed-negative", "train-hidden-zero",
             "search-seed-negative", "search-jobs-zero", "filters-rows-zero",
             "train-empty-train", "train-empty-val", "eval-empty-partition",
-            "filters-rows-too-many"])
+            "filters-rows-too-many", "eval-missing-model", "gen-missing-out-dir"])
     def test_one_line_and_exit_two(self, argv, message, usage_files):
         # A bad setting or input file is a usage error, not a traceback.
         proc = cli_subprocess([str(usage_files.get(a, a)) for a in argv])
         assert proc.returncode == 2
-        assert proc.stderr.splitlines() == [message]
+        assert proc.stderr.splitlines() == [message.format_map(usage_files)]
         assert "Traceback" not in proc.stderr + proc.stdout
 
 

@@ -282,9 +282,10 @@ class TestDataIsConstant:
         assert sorted(map(id, leaves)) == sorted(map(id, pv.values()))
 
     def test_backward_emits_nothing_for_plain_arrays(self):
-        # Each emission yields one contribution per Var parent. Of the 14
-        # matmul products a graph with Var data would emit, the 3 frames and
-        # the zero initial state account for 4; none of them is computed.
+        # Each emission yields one contribution per Var parent. The first
+        # step has no W_rec product, so 6 matmul nodes would emit 12
+        # products with Var data; the 3 frames account for 3 and none of
+        # those is computed.
         m = nn.init_model(5, 3, 4, field="complex", init_scale=0.7, seed=14)
         loss, pv = _tiny_loss_graph(m, 96)
         per_op = {}
@@ -304,8 +305,44 @@ class TestDataIsConstant:
             if node.emit is not None:
                 node.emit = counted(node)
         store = ad.backward(loss)
-        assert per_op["matmul"] == 10
+        assert per_op["matmul"] == 9
         assert all(store[v].shape == v.value.shape for v in pv.values())
+
+
+def _explicit_zero_state_loss(model, frames, target):
+    """predict_frame's loss built with the zero initial state as a constant.
+
+    The first step keeps the W_rec @ zeros product and its add node.
+    """
+    pv = nn.param_vars(model)
+    h = np.zeros((model.hidden, frames[0].shape[1]), dtype=model.w_in.dtype)
+    for x in frames:
+        pre = pv["w_in"] @ x + pv["b_in"] + pv["w_rec"] @ h + pv["b_rec"]
+        h = nn.apply_activation(pre, model.activation)
+    pred = pv["w_out"] @ h + pv["b_out"]
+    return nn.mse_loss(pred, target, model.field), pv
+
+
+class TestZeroInitialState:
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_same_bits_as_explicit_zero_product(self, field):
+        m = nn.init_model(6, 5, 6, field=field, init_scale=0.9, seed=16)
+        rng = make_rng(98)
+        for name in ("b_in", "b_rec", "b_out"):
+            b = 0.3 * sample_circular_gaussian(rng, getattr(m, name).shape, 1.0)
+            getattr(m, name)[:] = b if field == "complex" else b.real
+        data = [sample_circular_gaussian(rng, (6, 7), 1.0) for _ in range(4)]
+        if field == "real":
+            data = [d.real for d in data]
+        frames, target = data[:3], data[3]
+        loss, pv = nn.forward_loss(m, frames, target)
+        ad.backward(loss)
+        ref_loss, ref_pv = _explicit_zero_state_loss(m, frames, target)
+        ad.backward(ref_loss)
+        assert loss.value == ref_loss.value
+        for name in nn.PARAM_ORDER:
+            assert pv[name].grad.dtype == ref_pv[name].grad.dtype, name
+            assert np.array_equal(pv[name].grad, ref_pv[name].grad), name
 
 
 def _real_tiny_graph(model, seed, dtype=np.float64):

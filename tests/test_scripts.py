@@ -37,13 +37,14 @@ def test_desk_scale_output_layout(tmp_path):
 
 
 def test_bench_ab_report_schema(tmp_path):
-    # One quick pair on one workload; only the report's shape is checked.
+    # One quick pair and one traced run per side on one workload; only the
+    # report's shape is checked.
     if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
         pytest.skip("needs a git checkout to export the parent from")
     out = tmp_path / "bench.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_ab.py"), "--out", str(out),
-         "--workloads", "full-real", "--pairs", "1", "--seconds", "0", "--quick"],
+         "--workloads", "full-real", "--pairs", "1", "--seconds", "0", "--quick", "--trace"],
         capture_output=True, text=True, timeout=600,
     )
     assert out.exists(), proc.stderr
@@ -52,7 +53,8 @@ def test_bench_ab_report_schema(tmp_path):
                            "flagged"}
     assert all(len(report[side]["sha"]) == 40 for side in ("parent", "change"))
     entry = report["workloads"]["full-real"]
-    assert set(entry) == {"seeds", "env", "same_source", "failed_runs", "metrics", "runs"}
+    assert set(entry) == {"seeds", "env", "same_source", "per_layer", "failed_runs", "metrics",
+                          "runs"}
     assert isinstance(entry["same_source"], bool)
     assert entry["failed_runs"] == {"parent": 0, "change": 0}, proc.stderr
     assert all(entry["env"][side]["workload"] == "full-real" for side in ("parent", "change"))
@@ -64,4 +66,10 @@ def test_bench_ab_report_schema(tmp_path):
         assert m["pairs"] == 1 and 0 <= m["wins"] <= 1
         for side in ("parent", "change"):
             assert set(m[side]) == {"values", "median", "iqr"} and len(m[side]["values"]) == 1
+    assert entry["per_layer"]["ok"] == {"parent": True, "change": True}, proc.stderr
+    layer = entry["per_layer"]["metrics"]
+    assert set(layer) == {m["name"] for m in spec["per_layer"]}
+    for m in layer.values():
+        assert set(m) == {"unit", "better", "parent", "change", "rel_change"}
+        assert all(isinstance(m[side], (int, float)) for side in ("parent", "change"))
     assert isinstance(report["flagged"], list)

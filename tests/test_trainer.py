@@ -171,6 +171,9 @@ class TestTrain:
                 trainer.train(model, empty, cfg)
         with pytest.raises(trainer.ConfigError, match="no observations"):
             trainer.evaluate(model, small_data.test[:0], small_data.kind)
+        for field in ("complex", "real"):
+            with pytest.raises(trainer.ConfigError, match="no observations"):
+                trainer.zero_baseline_mse(small_data.val[:0], small_data.kind, field)
 
     def test_real_model_keeps_zero_imag_throughout(self, small_data, monkeypatch):
         # Zero imaginary parts hold by construction: parameters, cogradients
