@@ -1,7 +1,8 @@
 """Array conventions and deterministic random sources.
 
-Waveforms, files and complex-field models hold numpy complex128 arrays;
-real-field models and their data hold float64 (autodiff.promote()).
+Waveforms, files and complex-field parameters hold numpy complex128
+arrays; real-field models, and the model-facing frames of real-valued
+kinds in both fields, hold float64 (autodiff.promote()).
 numpy already does the arithmetic well, so this module only pins down
 the conventions the rest of the package relies on:
 finiteness is enforced at boundaries, shape mismatches raise a DimensionError

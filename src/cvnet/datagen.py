@@ -78,9 +78,12 @@ class WaveformSpec:
     def __post_init__(self):
         if not (len(self.freqs) == len(self.amps) == len(self.phases)):
             raise ValueError("component arrays must have equal length")
-        if np.any(self.freqs >= NYQUIST) or np.any(self.freqs < 0):
+        if len(self.freqs) == 0:
+            return
+        # Three reductions keep this cheap; it runs once per drawn observation.
+        if self.freqs.max() >= NYQUIST or self.freqs.min() < 0:
             raise ValueError("component frequencies must lie in [0, 0.5)")
-        if np.any(self.amps <= 0):
+        if self.amps.min() <= 0:
             raise ValueError("component amplitudes must be positive")
 
     @property
@@ -325,16 +328,25 @@ def _observations(samples: np.ndarray) -> np.ndarray:
     return samples
 
 
-def _frame_view(samples: np.ndarray, index: int, kind: DatasetKind, field: str) -> np.ndarray:
-    """Frame `index` of every observation, one per column, as the model sees it."""
-    frame = samples[:, index * FRAME_LEN : (index + 1) * FRAME_LEN].T  # (256, n) complex
-    if field == "complex":
-        return frame
-    if field != "real":
+def _frame_view(
+    samples: np.ndarray, index: int, kind: DatasetKind, field: str, order: str = "K"
+) -> np.ndarray:
+    """Frame `index` of every observation, one per column, as the model sees it.
+
+    Real-valued kinds give float64 in both fields: their imaginary part is
+    exactly zero, so a complex model multiplies real frames (autodiff.matmul
+    then runs real GEMMs). order="C" returns a row-major array; the default
+    "K" keeps each observation's column contiguous.
+    """
+    if field not in ("complex", "real"):
         raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
-    if kind.analytic:
-        return np.concatenate([frame.real, frame.imag], axis=0)
-    return frame.real.astype(np.float64)
+    frame = samples[:, index * FRAME_LEN : (index + 1) * FRAME_LEN].T  # (256, n) complex
+    if not kind.analytic:
+        return frame.real.astype(np.float64, order=order)
+    if field == "complex":
+        return np.asarray(frame, order=order)
+    out = np.empty((2 * FRAME_LEN, frame.shape[1])) if order == "C" else None
+    return np.concatenate([frame.real, frame.imag], axis=0, out=out)
 
 
 def build_views(
@@ -342,22 +354,25 @@ def build_views(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Batch input/target matrices, one observation per column.
 
-    Complex field: the raw complex frames, (256, n).
-    Real field on analytic data: concatenated [re_0..re_255, im_0..im_255],
+    Real-valued kinds (sawtooth, inharmonic): the real part, (256, n), as
+    float64, for both fields; the imaginary part is exactly zero.
+    Analytic kinds, complex field: the complex frames, (256, n), complex128.
+    Analytic kinds, real field: concatenated [re_0..re_255, im_0..im_255],
     (512, n), as float64.
-    Real field on real data: the real part, (256, n), as float64.
 
+    The target is C-contiguous, like the model's prediction, so the
+    residual pred - target runs over both in the same order.
     This is the one entry point from samples to model inputs (training and
     evaluation), so the finiteness of the data is checked here, once per
     call; the frames then enter the graph as unchecked constants.
     """
     samples = ensure_finite(_observations(samples), "samples")
-    frames = [_frame_view(samples, i, kind, field) for i in range(N_FRAMES)]
-    return frames[:3], frames[3]
+    frames = [_frame_view(samples, i, kind, field) for i in range(N_FRAMES - 1)]
+    return frames, _frame_view(samples, N_FRAMES - 1, kind, field, order="C")
 
 
 def target_view(samples: np.ndarray, kind: DatasetKind, field: str) -> np.ndarray:
     """build_views' target alone: only the last frame is read, checked and widened."""
     samples = _observations(samples)
     ensure_finite(samples[:, (N_FRAMES - 1) * FRAME_LEN :], "samples")
-    return _frame_view(samples, N_FRAMES - 1, kind, field)
+    return _frame_view(samples, N_FRAMES - 1, kind, field, order="C")

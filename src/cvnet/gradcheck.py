@@ -132,17 +132,31 @@ def _tiny_model(rng, field: str) -> nn.RecurrentModel:
     )
 
 
+# Variant -> (model field, real-valued data, stream id). build_views feeds
+# a complex model float64 frames and target on real-valued kinds.
+_RECURRENT_VARIANTS = {
+    "complex": ("complex", False, 303),
+    "real": ("real", True, 304),
+    "complex-real-data": ("complex", True, 305),
+}
+
+
 def check_recurrent(
-    field: str, seed: int, n_probes: int = 10, rtol: float = RTOL_DEFAULT
+    variant: str, seed: int, n_probes: int = 10, rtol: float = RTOL_DEFAULT
 ) -> CheckEntry:
-    """Gradients through the 3-step unrolled recurrence on a tiny model in the field's dtype."""
-    rng = make_rng(seed, 303 if field == "complex" else 304)
+    """Gradients through the 3-step unrolled recurrence on a tiny model.
+
+    variant is a key of _RECURRENT_VARIANTS: the model's field and whether
+    its frames and target are float64.
+    """
+    field, real_data, stream = _RECURRENT_VARIANTS[variant]
+    rng = make_rng(seed, stream)
     worst = 0.0
     for _ in range(n_probes):
         model = _tiny_model(rng, field)
         frames = [sample_circular_gaussian(rng, (4, 2), 1.0) for _ in range(3)]
         target = sample_circular_gaussian(rng, (4, 2), 1.0)
-        if field == "real":
+        if real_data:
             frames = [f.real for f in frames]
             target = target.real
 
@@ -152,7 +166,7 @@ def check_recurrent(
             return nn.mse_loss(pred, _t, _m.field), pv
 
         worst = max(worst, _tensor_grads_vs_oracle(build, model.params()))
-    return CheckEntry(f"layer:recurrent-{field}", worst, rtol, worst < rtol)
+    return CheckEntry(f"layer:recurrent-{variant}", worst, rtol, worst < rtol)
 
 
 def run_gradcheck(seed: int = 2024, n_probes: int = 10, rtol: float = RTOL_DEFAULT) -> list[CheckEntry]:
@@ -161,8 +175,7 @@ def run_gradcheck(seed: int = 2024, n_probes: int = 10, rtol: float = RTOL_DEFAU
     ]
     entries.append(check_mse(seed, n_probes, rtol))
     entries.append(check_dense_layer(seed, n_probes, rtol))
-    entries.append(check_recurrent("complex", seed, n_probes, rtol))
-    entries.append(check_recurrent("real", seed, n_probes, rtol))
+    entries.extend(check_recurrent(v, seed, n_probes, rtol) for v in _RECURRENT_VARIANTS)
     return entries
 
 

@@ -4,7 +4,9 @@ Two model families share one forward path and one engine: complex-valued
 models hold complex128 parameters and use the fully complex tanh
 (holomorphic, with poles on the imaginary axis); real-valued models hold
 float64 parameters and data, so the same graph runs float64 matmuls and a
-float64 tanh, and "no imaginary part" holds by construction.
+float64 tanh, and "no imaginary part" holds by construction. A complex
+model on a real-valued kind gets float64 frames and target, so its input
+products are real GEMMs (autodiff.matmul).
 A bounded non-holomorphic alternative, the phase-preserving magnitude
 squasher z / (1 + |z|), is registered as well. Both activations are
 registry ops: their graph nodes come from autodiff.elementwise, so the

@@ -261,6 +261,27 @@ class TestConstants:
         np.testing.assert_array_equal(grads[0], grads[1])
 
 
+class TestRealDataMatmul:
+    """Complex parameters times float64 data: matmul's real-GEMM path."""
+
+    @pytest.mark.parametrize("columns", [slice(None), slice(3, 9)], ids=["whole", "batch"])
+    def test_value_and_cogradient_match_complex_product(self, columns):
+        rng = make_rng(24)
+        w = sample_circular_gaussian(rng, (7, 6), 1.0)
+        # Column-major like build_views' frames; train passes column slices.
+        x = np.asfortranarray(rng.normal(size=(6, 12)))[:, columns]
+        target = sample_circular_gaussian(rng, (7, x.shape[1]), 1.0)
+        outs, grads = [], []
+        for data in (x, x + 0j):
+            v = ad.Var(w)
+            out = ad.matmul(v, data)
+            grads.append(ad.backward(ad.mse(out, target, 2 * target.size))[v])
+            outs.append(out.value)
+        for got, want in (outs, grads):
+            assert got.dtype == np.complex128
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestPromote:
     @pytest.mark.parametrize("value, want", [
         (np.array([1, 2]), np.float64),

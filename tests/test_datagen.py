@@ -17,6 +17,32 @@ def brute_force_dft(x):
     return np.array([np.sum(x * np.exp(-2j * np.pi * kk * k / n)) for kk in k])
 
 
+def spec_of(freqs, amps):
+    freqs, amps = np.asarray(freqs, dtype=float), np.asarray(amps, dtype=float)
+    return dg.WaveformSpec(freqs, amps, np.zeros(len(freqs)), analytic=False)
+
+
+class TestWaveformSpecValidation:
+    @pytest.mark.parametrize("freqs, amps", [
+        ([0.0], [1.0]),
+        ([0.3, np.nextafter(dg.NYQUIST, 0.0)], [1e-300, 2.0]),
+        ([], []),
+    ], ids=["zero-frequency", "just-below-nyquist", "empty"])
+    def test_accepted(self, freqs, amps):
+        assert len(spec_of(freqs, amps).freqs) == len(freqs)
+
+    @pytest.mark.parametrize("freqs, amps, match", [
+        ([0.1, dg.NYQUIST], [1.0, 1.0], "frequencies"),
+        ([-1e-300, 0.1], [1.0, 1.0], "frequencies"),
+        ([0.1, 0.2], [1.0, 0.0], "amplitudes"),
+        ([0.1], [-1.0], "amplitudes"),
+        ([0.1, 0.2], [1.0], "equal length"),
+    ], ids=["nyquist", "negative-frequency", "zero-amplitude", "negative-amplitude", "lengths"])
+    def test_rejected(self, freqs, amps, match):
+        with pytest.raises(ValueError, match=match):
+            spec_of(freqs, amps)
+
+
 class TestSawtoothSpec:
     def test_high_fundamental_forces_single_component(self):
         rng = make_rng(1)
@@ -224,7 +250,7 @@ class TestInharmonic:
 
 
 def complex_frames(samples):
-    """One observation's four frames, as build_views' complex columns."""
+    """One observation's four frames, as build_views' complex-field columns."""
     frames, target = dg.build_views(samples, dg.DatasetKind.SAWTOOTH, "complex")
     return [f[:, 0] for f in frames + [target]]
 
@@ -318,7 +344,23 @@ class TestModelViews:
         _, want = dg.build_views(bundle.train, kind, field)
         got = dg.target_view(bundle.train, kind, field)
         assert got.dtype == want.dtype and got.strides == want.strides
+        assert got.flags.c_contiguous  # the layout of the model's prediction
         np.testing.assert_array_equal(got, want)
+
+    @pytest.mark.parametrize("kind", list(dg.DatasetKind))
+    def test_complex_field_is_float64_on_real_valued_kinds(self, kind):
+        bundle = dg.generate_bundle(kind, 37, 3, 2, 2)
+        frames, target = dg.build_views(bundle.train, kind, "complex")
+        for i, got in enumerate(frames + [target]):
+            frame = bundle.train[:, i * dg.FRAME_LEN : (i + 1) * dg.FRAME_LEN].T
+            if kind.analytic:
+                assert got.dtype == np.complex128
+                np.testing.assert_array_equal(got, frame)
+            else:
+                assert got.dtype == np.float64 and np.all(frame.imag == 0)
+                np.testing.assert_array_equal(got, frame.real)
+        if not kind.analytic:
+            assert all(f.flags.f_contiguous for f in frames)  # one column per observation
 
     def test_target_view_reads_only_the_target_frame(self):
         bundle = dg.generate_bundle(dg.DatasetKind.SAWTOOTH, 35, 3, 2, 2)

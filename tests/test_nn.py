@@ -345,6 +345,29 @@ class TestZeroInitialState:
             assert np.array_equal(pv[name].grad, ref_pv[name].grad), name
 
 
+class TestRealDataInComplexModel:
+    def test_float64_frames_give_the_zero_imaginary_step(self):
+        # build_views feeds a complex model float64 frames and target on
+        # real-valued kinds; the reference step gets the same data as
+        # complex128 with a zero imaginary part.
+        m = nn.init_model(6, 5, 6, field="complex", init_scale=0.9, seed=19)
+        rng = make_rng(99)
+        for name in ("b_in", "b_rec", "b_out"):
+            getattr(m, name)[:] = 0.3 * sample_circular_gaussian(rng, getattr(m, name).shape, 1.0)
+        data = [np.asfortranarray(rng.normal(size=(6, 9)))[:, 2:8] for _ in range(4)]
+        steps = []
+        for frames in (data, [d + 0j for d in data]):
+            loss, pv = nn.forward_loss(m, frames[:3], frames[3])
+            ad.backward(loss)
+            steps.append((loss.value, {name: v.grad for name, v in pv.items()}))
+        (loss, grads), (ref_loss, ref_grads) = steps
+        assert loss == pytest.approx(ref_loss, rel=1e-12, abs=0)
+        for name in nn.PARAM_ORDER:
+            assert grads[name].dtype == np.complex128, name
+            err = np.abs(grads[name] - ref_grads[name]).max()
+            assert err <= 1e-12 * np.abs(ref_grads[name]).max(), name
+
+
 def _real_tiny_graph(model, seed, dtype=np.float64):
     """Loss and param vars of a real model after backward, all arrays cast to dtype."""
     rng = make_rng(seed)
