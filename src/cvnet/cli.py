@@ -104,10 +104,12 @@ def cmd_search(args) -> int:
     )
     out = Path(args.out)
     best = trainer.write_search_outputs(results, out)
+    baseline = trainer.zero_baseline_mse(data.val, data.kind, args.field)
     if best is not None:
-        print(f"best trial={best.trial_id} best_val={best.best_val:.6e} status={best.status}")
+        print(f"best trial={best.trial_id} best_val={best.best_val:.6e} status={best.status} "
+              f"baseline={baseline:.6e}")
     else:
-        print("all trials diverged before completing an epoch")
+        print(f"all trials diverged before completing an epoch; baseline={baseline:.6e}")
     n_div = sum(r.diverged for r in results)
     print(f"trials={len(results)} diverged={n_div} summary={out / 'search.csv'}")
     return 0

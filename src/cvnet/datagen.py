@@ -80,11 +80,15 @@ class WaveformSpec:
             raise ValueError("component arrays must have equal length")
         if len(self.freqs) == 0:
             return
-        # Three reductions keep this cheap; it runs once per drawn observation.
-        if self.freqs.max() >= NYQUIST or self.freqs.min() < 0:
+        # At most two reductions per array keep this cheap; it runs once per drawn
+        # observation. A NaN fails every comparison, so each test is written
+        # to pass only on in-range values.
+        if not (0 <= self.freqs.min() and self.freqs.max() < NYQUIST):
             raise ValueError("component frequencies must lie in [0, 0.5)")
-        if self.amps.min() <= 0:
-            raise ValueError("component amplitudes must be positive")
+        if not (0 < self.amps.min() and self.amps.max() < np.inf):
+            raise ValueError("component amplitudes must be positive and finite")
+        if not np.isfinite(self.phases).all():
+            raise ValueError("component phases must be finite")
 
     @property
     def fundamental(self) -> float:

@@ -2,9 +2,10 @@
 
 One optimizer step per training batch, a full validation pass per epoch,
 and validation-based selection of the reported model. Diverged trials
-(non-finite loss, exploding parameters, activation poles) are first-class
-results with their partial history, not errors: instability is one of the
-phenomena this harness exists to observe.
+(a non-finite loss, parameter update or cogradient; an activation pole
+shows up as one of these) are first-class results with their partial
+history, not errors: instability is one of the phenomena this harness
+exists to observe.
 
 Everything is deterministic given (dataset seed, config): trial substreams
 are derived by counter, batches are fixed slices in dataset order, and CSV
@@ -224,7 +225,7 @@ def train(
                 val_mse = float(val_loss.value.real)
             if not np.isfinite(val_mse):
                 raise ad.NumericError("non-finite validation loss")
-        except (ad.NumericError, nn.SingularityError):
+        except ad.NumericError:
             status = "diverged"
             break
         history.append(EpochRecord(epoch, lr, loss_sum / n_train, val_mse))

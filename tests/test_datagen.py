@@ -17,9 +17,10 @@ def brute_force_dft(x):
     return np.array([np.sum(x * np.exp(-2j * np.pi * kk * k / n)) for kk in k])
 
 
-def spec_of(freqs, amps):
+def spec_of(freqs, amps, phases=None):
     freqs, amps = np.asarray(freqs, dtype=float), np.asarray(amps, dtype=float)
-    return dg.WaveformSpec(freqs, amps, np.zeros(len(freqs)), analytic=False)
+    phases = np.zeros(len(freqs)) if phases is None else np.asarray(phases, dtype=float)
+    return dg.WaveformSpec(freqs, amps, phases, analytic=False)
 
 
 class TestWaveformSpecValidation:
@@ -31,16 +32,28 @@ class TestWaveformSpecValidation:
     def test_accepted(self, freqs, amps):
         assert len(spec_of(freqs, amps).freqs) == len(freqs)
 
-    @pytest.mark.parametrize("freqs, amps, match", [
-        ([0.1, dg.NYQUIST], [1.0, 1.0], "frequencies"),
-        ([-1e-300, 0.1], [1.0, 1.0], "frequencies"),
-        ([0.1, 0.2], [1.0, 0.0], "amplitudes"),
-        ([0.1], [-1.0], "amplitudes"),
-        ([0.1, 0.2], [1.0], "equal length"),
-    ], ids=["nyquist", "negative-frequency", "zero-amplitude", "negative-amplitude", "lengths"])
-    def test_rejected(self, freqs, amps, match):
+    @pytest.mark.parametrize("freqs, amps, phases, match", [
+        ([0.1, dg.NYQUIST], [1.0, 1.0], None, "frequencies"),
+        ([-1e-300, 0.1], [1.0, 1.0], None, "frequencies"),
+        ([0.1, 0.2], [1.0, 0.0], None, "amplitudes"),
+        ([0.1], [-1.0], None, "amplitudes"),
+        ([0.1, 0.2], [1.0], None, "equal length"),
+        ([0.1, np.nan], [1.0, 1.0], None, "frequencies"),
+        ([np.nan, 0.1], [1.0, 1.0], None, "frequencies"),
+        ([0.1, np.inf], [1.0, 1.0], None, "frequencies"),
+        ([0.1, 0.2], [1.0, np.nan], None, "amplitudes"),
+        ([0.1, 0.2], [np.nan, 1.0], None, "amplitudes"),
+        ([0.1, 0.2], [1.0, np.inf], None, "amplitudes"),
+        ([0.1, 0.2], [1.0, 1.0], [0.0, np.nan], "phases"),
+        ([0.1, 0.2], [1.0, 1.0], [np.inf, 0.0], "phases"),
+        ([0.1, 0.2], [1.0, 1.0], [0.0, -np.inf], "phases"),
+    ], ids=["nyquist", "negative-frequency", "zero-amplitude", "negative-amplitude", "lengths",
+            "nan-frequency-last", "nan-frequency-first", "inf-frequency",
+            "nan-amplitude-last", "nan-amplitude-first", "inf-amplitude",
+            "nan-phase", "inf-phase", "negative-inf-phase"])
+    def test_rejected(self, freqs, amps, phases, match):
         with pytest.raises(ValueError, match=match):
-            spec_of(freqs, amps)
+            spec_of(freqs, amps, phases)
 
 
 class TestSawtoothSpec:

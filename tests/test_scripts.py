@@ -2,6 +2,7 @@
 
 import json
 import os
+import runpy
 import subprocess
 import sys
 from pathlib import Path
@@ -13,27 +14,69 @@ import cvnet
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_desk_scale_output_layout(tmp_path):
+SCRIPT = ROOT / "scripts" / "run_protocol.py"
+
+
+def _run_protocol(*args):
     src = str(Path(cvnet.__file__).resolve().parents[1])
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    out = tmp_path / "desk"
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "run_desk_scale.py"), "--out", str(out),
-         "--train", "20", "--val", "10", "--test", "10", "--hidden", "4",
-         "--epochs", "2", "--trials", "2", "--batch-size", "10"],
-        env=env, capture_output=True, text=True, timeout=300,
-    )
+    return subprocess.run([sys.executable, str(SCRIPT), *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+TINY = ["--train", 20, "--val", 10, "--test", 10, "--hidden", 4, "--epochs", 2, "--trials", 2,
+        "--batch-size", 10]
+
+
+@pytest.mark.parametrize("protocol, kinds", [
+    ("desk", ["sawtooth"]),
+    ("full", ["sawtooth", "inharmonic-analytic"]),
+], ids=["desk", "full"])
+def test_protocol_output_layout(tmp_path, protocol, kinds):
+    out = tmp_path / protocol
+    extra = ["--kinds", *kinds] if protocol == "full" else []
+    proc = _run_protocol("--protocol", protocol, "--out", out, *TINY, *extra)
     assert proc.returncode == 0, proc.stderr
     search = ["best_model.cvnn", "search.csv", "trial_000.csv", "trial_001.csv"]
-    assert sorted(p.name for p in out.iterdir()) == [
-        "complex", "data.cvds", "filters_complex.csv", "real"
-    ]
-    for field in ("complex", "real"):
-        assert sorted(p.name for p in (out / field).iterdir()) == search
-        rows = (out / field / "search.csv").read_text().strip().splitlines()
-        assert len(rows) == 3
-    assert "results in" in proc.stdout
+    assert sorted(p.name for p in out.iterdir()) == sorted(kinds)
+    for kind in kinds:
+        assert sorted(p.name for p in (out / kind).iterdir()) == [
+            "complex", "data.cvds", "filters_complex.csv", "filters_real.csv", "real"
+        ]
+        for field in ("complex", "real"):
+            assert sorted(p.name for p in (out / kind / field).iterdir()) == search
+            rows = (out / kind / field / "search.csv").read_text().strip().splitlines()
+            assert len(rows) == 3
+            filters = (out / kind / f"filters_{field}.csv").read_text().strip().splitlines()
+            assert {row.split(",")[0] for row in filters[1:]} == {"0", "1", "2"}
+            assert f"[{kind}/{field}] search took" in proc.stdout
+    assert proc.stdout.count("baseline=") == proc.stdout.count("test_mse=") == 2 * len(kinds)
+
+
+def test_protocol_table_holds_the_paper_and_desk_protocols():
+    protocols = runpy.run_path(str(SCRIPT))["PROTOCOLS"]
+    assert protocols["full"] == dict(
+        seed=1, kinds=["sawtooth", "sawtooth-analytic", "inharmonic", "inharmonic-analytic"],
+        train=10000, val=1000, test=1000, hidden=256, epochs=1000, batch_size=1000, trials=100)
+    assert protocols["desk"] == dict(
+        seed=42, kinds=["sawtooth"], train=500, val=200, test=200, hidden=32, epochs=200,
+        batch_size=250, trials=10)
+
+
+@pytest.mark.parametrize("args", [
+    ["--protocol", "desk", "--jobs", "0"],
+    ["--protocol", "desk", "--trials", "0"],
+    ["--protocol", "paper"],
+    ["--jobs", "2"],
+    ["--protocol", "desk", "--out", "/dev/null/out"],
+], ids=["jobs-0", "trials-0", "unknown-protocol", "no-protocol", "out-not-a-directory"])
+def test_protocol_usage_error_is_one_line(tmp_path, args):
+    proc = _run_protocol("--out", tmp_path / "out", *args)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("run_protocol.py: error: ")
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_bench_ab_report_schema(tmp_path):
