@@ -131,6 +131,8 @@ def main(argv=None) -> int:
     ap.add_argument("--trace", action="store_true",
                     help="add one traced run per side and workload for per-layer metrics")
     args = ap.parse_args(argv)
+    if args.pairs < 1:  # an empty report would read as a pass
+        ap.exit(2, f"{ap.prog}: error: argument --pairs: must be >= 1, got {args.pairs}\n")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     workloads = args.workloads or [w["name"] for w in spec["workloads"]]

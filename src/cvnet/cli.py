@@ -67,10 +67,7 @@ def cmd_gen(args) -> int:
 
 def cmd_train(args) -> int:
     data = datagen.read_dataset(args.data)
-    d_in, d_out = datagen.model_dims(data.kind, args.field)
-    model = nn.init_model(
-        d_in, args.hidden, d_out, field=args.field, init_scale=args.init_scale, seed=args.seed
-    )
+    # The flags are validated before init_model draws weights with init_scale.
     config = trainer.TrainConfig(
         lr0=args.lr0,
         half_life=args.half_life,
@@ -79,6 +76,10 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         batch_size=args.batch_size,
         clip=args.clip,
+    )
+    d_in, d_out = datagen.model_dims(data.kind, args.field)
+    model = nn.init_model(
+        d_in, args.hidden, d_out, field=args.field, init_scale=args.init_scale, seed=args.seed
     )
     result = trainer.train(model, data, config)
     out = Path(args.out)

@@ -8,11 +8,15 @@ the conventions the rest of the package relies on:
 finiteness is enforced at boundaries, shape mismatches raise a DimensionError
 naming both shapes, and all randomness flows through seeded PCG64 generators
 so that identical seeds give identical streams for a fixed numpy version.
+BlockFormat is the one binary container of dataset and checkpoint files.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+import math
+import struct
+from dataclasses import dataclass
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -25,6 +29,62 @@ class DimensionError(ValueError):
 
 class FormatError(ValueError):
     """A binary file does not match its declared layout."""
+
+
+@dataclass(frozen=True)
+class BlockFormat:
+    """Magic, a struct header whose first field is the version, then blocks.
+
+    Blocks are little-endian float64 (re, im) pairs, back to back, with
+    nothing after the last. read() raises FormatError with `what` and a
+    byte offset, checking in file order: header, magic, version, the
+    caller's tags, each block's length and finiteness, trailing bytes.
+    """
+
+    what: str  # noun for error messages, e.g. "dataset"
+    magic: bytes
+    header: str  # struct format of the header, version field first
+    version: int
+
+    def write(self, path, fields: Sequence, blocks: Iterable[np.ndarray]) -> None:
+        """Header fields after the version, then each block in order."""
+        with open(path, "wb") as fh:
+            fh.write(self.magic + struct.pack(self.header, self.version, *fields))
+            for arr in blocks:
+                fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
+
+    def read(
+        self, path, layout: Callable[..., Sequence[tuple[str, tuple[int, ...]]]]
+    ) -> tuple[tuple, dict[str, np.ndarray]]:
+        """(header fields after the version, {block name: complex128 array}).
+
+        layout(*fields) checks the tags and gives each block's (name, shape).
+        """
+        with open(path, "rb") as fh:
+            blob = fh.read()
+        start = len(self.magic)
+        offset = start + struct.calcsize(self.header)
+        if len(blob) < offset:
+            raise FormatError(f"{self.what} truncated in header at byte {len(blob)}")
+        if blob[:start] != self.magic:
+            raise FormatError(f"bad {self.what} magic {blob[:start]!r} at byte 0")
+        version, *fields = struct.unpack_from(self.header, blob, start)
+        if version != self.version:
+            raise FormatError(f"unsupported {self.what} version {version} at byte {start}")
+        blocks = {}
+        for name, shape in layout(*fields):
+            count = math.prod(shape)
+            if offset + 16 * count > len(blob):
+                raise FormatError(f"{self.what} truncated in {name} at byte {len(blob)}")
+            arr = np.frombuffer(blob, "<c16", count, offset).astype(COMPLEX).reshape(shape)
+            if not np.isfinite(arr).all():
+                bad = offset + 16 * int(np.flatnonzero(~np.isfinite(arr))[0])
+                raise FormatError(f"non-finite value in {self.what} {name} at byte {bad}")
+            blocks[name] = arr
+            offset += 16 * count
+        if offset != len(blob):
+            raise FormatError(f"trailing bytes in {self.what} at byte {offset}")
+        return tuple(fields), blocks
 
 
 def ensure_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:

@@ -31,13 +31,12 @@ direct per-sample sum by less than 1e-12 of the signal's peak.
 from __future__ import annotations
 
 import math
-import struct
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .complex_ops import COMPLEX, FormatError, ensure_finite, make_rng
+from .complex_ops import COMPLEX, BlockFormat, FormatError, ensure_finite, make_rng
 
 N_SAMPLES = 1024
 FRAME_LEN = 256
@@ -252,56 +251,27 @@ def bundles_equal(a: DatasetBundle, b: DatasetBundle) -> bool:
 # ---------------------------------------------------------------------------
 # magic "CVDS", version u8 = 1, kind u8, seed u64 LE, counts 3 x u32 LE,
 # then train/val/test observations as 1024 little-endian float64 (re, im)
-# pairs each. Specs are not stored: draw_spec(kind, make_rng(seed, stream, i))
-# regenerates observation i of the partition with stream 0, 1 or 2.
+# pairs each, in complex_ops.BlockFormat's container. Specs are not stored:
+# draw_spec(kind, make_rng(seed, stream, i)) regenerates observation i of
+# the partition with stream 0, 1 or 2.
 
-_DATASET_MAGIC = b"CVDS"
-_DATASET_VERSION = 1
-_HEADER = struct.Struct("<BBQIII")
+_FORMAT = BlockFormat("dataset", b"CVDS", "<BBQIII", 1)
 
 
 def write_dataset(bundle: DatasetBundle, path) -> None:
-    header = _DATASET_MAGIC + _HEADER.pack(
-        _DATASET_VERSION,
-        _KIND_TAGS[bundle.kind],
-        bundle.seed,
-        bundle.train.shape[0],
-        bundle.val.shape[0],
-        bundle.test.shape[0],
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for part in (bundle.train, bundle.val, bundle.test):
-            fh.write(np.ascontiguousarray(part, dtype="<c16").tobytes())
+    parts = [bundle.partition(name) for name in _PARTITION_STREAMS]
+    _FORMAT.write(path, (_KIND_TAGS[bundle.kind], bundle.seed, *(len(p) for p in parts)), parts)
 
 
 def read_dataset(path) -> DatasetBundle:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head_len = len(_DATASET_MAGIC) + _HEADER.size
-    if len(blob) < head_len:
-        raise FormatError(f"dataset truncated in header at byte {len(blob)}")
-    if blob[:4] != _DATASET_MAGIC:
-        raise FormatError(f"bad dataset magic {blob[:4]!r} at byte 0")
-    version, kind_tag, seed, n_train, n_val, n_test = _HEADER.unpack(blob[4:head_len])
-    if version != _DATASET_VERSION:
-        raise FormatError(f"unsupported dataset version {version} at byte 4")
     kinds = {v: k for k, v in _KIND_TAGS.items()}
-    if kind_tag not in kinds:
-        raise FormatError(f"unknown dataset kind tag {kind_tag} at byte 5")
-    parts = {}
-    offset = head_len
-    for name, count in (("train", n_train), ("val", n_val), ("test", n_test)):
-        nbytes = count * N_SAMPLES * 16
-        chunk = blob[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise FormatError(f"dataset truncated in {name} at byte {offset + len(chunk)}")
-        parts[name] = (
-            np.frombuffer(chunk, dtype="<c16").astype(COMPLEX).reshape(count, N_SAMPLES)
-        )
-        offset += nbytes
-    if offset != len(blob):
-        raise FormatError(f"trailing bytes in dataset at byte {offset}")
+
+    def layout(kind_tag, seed, *counts):
+        if kind_tag not in kinds:
+            raise FormatError(f"unknown dataset kind tag {kind_tag} at byte 5")
+        return [(name, (n, N_SAMPLES)) for name, n in zip(_PARTITION_STREAMS, counts)]
+
+    (kind_tag, seed, *_), parts = _FORMAT.read(path, layout)
     return DatasetBundle(kind=kinds[kind_tag], seed=seed, **parts)
 
 

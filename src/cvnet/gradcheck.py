@@ -59,14 +59,12 @@ def check_mse(seed: int, n_probes: int = 10, rtol: float = RTOL_DEFAULT) -> Chec
     for _ in range(n_probes):
         pred = sample_circular_gaussian(rng, 4, 1.0)
         target = sample_circular_gaussian(rng, 4, 1.0)
-        n_dof = 2 * pred.size
-        loss = ad.mse(ad.Var(pred), target, n_dof)
-        store = ad.backward(loss)
-        grad = store[loss.parents[0]]
-        oracle = ad.wirtinger_pair_numeric(
-            lambda p: ad.mse(ad.Var(p), target, n_dof).value, pred
-        )
-        worst = max(worst, _rel_err(grad, oracle.jc.reshape(grad.shape), ATOL_DEFAULT))
+
+        def build(params, _t=target):
+            pv = {"pred": ad.Var(params["pred"])}
+            return ad.mse(pv["pred"], _t, 2 * _t.size), pv
+
+        worst = max(worst, _tensor_grads_vs_oracle(build, {"pred": pred}))
     return CheckEntry("loss:mse", worst, rtol, worst < rtol)
 
 

@@ -19,7 +19,6 @@ cogradients.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 from enum import Enum
 from typing import Mapping, Sequence
@@ -27,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .complex_ops import COMPLEX, FormatError, make_rng, sample_circular_gaussian
+from .complex_ops import COMPLEX, BlockFormat, FormatError, make_rng, sample_circular_gaussian
 
 # ---------------------------------------------------------------------------
 # Activations
@@ -142,8 +141,6 @@ _ACTIVATION_TAGS = {
     ActivationKind.SPLIT_MAGNITUDE: 1,
     ActivationKind.REAL_TANH: 3,
 }
-_CHECKPOINT_MAGIC = b"CVNN"
-_CHECKPOINT_VERSION = 1
 
 
 @dataclass
@@ -300,62 +297,33 @@ def forward_loss(
 # Checkpoint format
 # ---------------------------------------------------------------------------
 # magic "CVNN", version u8, field u8, d_in/hidden/d_out u32 LE, activation u8,
-# then parameters in PARAM_ORDER as little-endian float64 (re, im) pairs;
-# float64 parameters of real-field models are written with im = 0.
+# then parameters in PARAM_ORDER as little-endian float64 (re, im) pairs,
+# in complex_ops.BlockFormat's container; float64 parameters of real-field
+# models are written with im = 0.
+
+_FORMAT = BlockFormat("checkpoint", b"CVNN", "<BBIIIB", 1)
+
 
 def save_model(model: RecurrentModel, path) -> None:
-    header = _CHECKPOINT_MAGIC + struct.pack(
-        "<BBIIIB",
-        _CHECKPOINT_VERSION,
-        _FIELD_TAGS[model.field],
-        model.d_in,
-        model.hidden,
-        model.d_out,
-        _ACTIVATION_TAGS[model.activation],
-    )
-    with open(path, "wb") as fh:
-        fh.write(header)
-        for arr in model.params().values():
-            fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
+    header = (_FIELD_TAGS[model.field], model.d_in, model.hidden, model.d_out,
+              _ACTIVATION_TAGS[model.activation])
+    _FORMAT.write(path, header, model.params().values())
 
 
 def load_model(path) -> RecurrentModel:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    head_len = len(_CHECKPOINT_MAGIC) + struct.calcsize("<BBIIIB")
-    if len(blob) < head_len:
-        raise FormatError(f"checkpoint truncated in header at byte {len(blob)}")
-    if blob[:4] != _CHECKPOINT_MAGIC:
-        raise FormatError(f"bad checkpoint magic {blob[:4]!r} at byte 0")
-    version, field_tag, d_in, hidden, d_out, act_tag = struct.unpack(
-        "<BBIIIB", blob[4:head_len]
-    )
-    if version != _CHECKPOINT_VERSION:
-        raise FormatError(f"unsupported checkpoint version {version} at byte 4")
     fields = {v: k for k, v in _FIELD_TAGS.items()}
     acts = {v: k for k, v in _ACTIVATION_TAGS.items()}
-    if field_tag not in fields:
-        raise FormatError(f"unknown field tag {field_tag} at byte 5")
-    if act_tag not in acts:
-        raise FormatError(f"unknown activation tag {act_tag} at byte {head_len - 1}")
-    shapes = {
-        "w_in": (hidden, d_in),
-        "b_in": (hidden, 1),
-        "w_rec": (hidden, hidden),
-        "b_rec": (hidden, 1),
-        "w_out": (d_out, hidden),
-        "b_out": (d_out, 1),
-    }
-    offset = head_len
-    arrays = {}
-    for name in PARAM_ORDER:
-        shape = shapes[name]
-        nbytes = int(np.prod(shape)) * 16
-        chunk = blob[offset : offset + nbytes]
-        if len(chunk) != nbytes:
-            raise FormatError(f"checkpoint truncated in {name} at byte {offset + len(chunk)}")
-        arrays[name] = np.frombuffer(chunk, dtype="<c16").astype(COMPLEX).reshape(shape)
-        offset += nbytes
-    if offset != len(blob):
-        raise FormatError(f"trailing bytes in checkpoint at byte {offset}")
-    return RecurrentModel(field=fields[field_tag], activation=acts[act_tag], **arrays)
+
+    def layout(field_tag, d_in, hidden, d_out, act_tag):
+        if field_tag not in fields:
+            raise FormatError(f"unknown field tag {field_tag} at byte 5")
+        if act_tag not in acts:
+            raise FormatError(f"unknown activation tag {act_tag} at byte 18")
+        return [("w_in", (hidden, d_in)), ("b_in", (hidden, 1)), ("w_rec", (hidden, hidden)),
+                ("b_rec", (hidden, 1)), ("w_out", (d_out, hidden)), ("b_out", (d_out, 1))]
+
+    (field_tag, *_, act_tag), arrays = _FORMAT.read(path, layout)
+    try:
+        return RecurrentModel(field=fields[field_tag], activation=acts[act_tag], **arrays)
+    except ValueError as exc:  # a real-field tag over complex-only content
+        raise FormatError(f"inconsistent checkpoint: {exc}") from None

@@ -9,14 +9,13 @@ the O(N^2) matrix form is plenty and trivially deterministic.
 
 from __future__ import annotations
 
-import csv
 from functools import lru_cache
 
 import numpy as np
 
 from .complex_ops import COMPLEX
 from .nn import RecurrentModel
-from .trainer import ConfigError, _fmt
+from .trainer import ConfigError, write_csv
 
 
 @lru_cache(maxsize=8)
@@ -58,10 +57,6 @@ def write_filters_csv(model: RecurrentModel, rows: int, path) -> None:
     """Long-format export: one line per (filter, bin) with the magnitude."""
     if not 1 <= rows <= model.hidden:
         raise ConfigError(f"rows must be in [1, {model.hidden}], got {rows}")
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["filter", "bin", "magnitude"])
-        for r in range(rows):
-            mags = filter_response(model, r)
-            for b, mag in enumerate(mags):
-                writer.writerow([r, b, _fmt(mag)])
+    write_csv(path, ["filter", "bin", "magnitude"], (
+        [r, b, mag] for r in range(rows) for b, mag in enumerate(filter_response(model, r))
+    ))

@@ -15,6 +15,7 @@ exports use a fixed 17-significant-digit float format.
 from __future__ import annotations
 
 import csv
+import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
@@ -47,6 +48,11 @@ class TrainConfig:
     clip: float | None = None
 
     def __post_init__(self):
+        # NaN fails every comparison, so each test passes only on finite values.
+        for name in ("lr0", "half_life", "init_scale", "clip"):
+            value = getattr(self, name)
+            if value is not None and not abs(value) < math.inf:
+                raise ConfigError(f"{name} must be finite, got {value}")
         if self.lr0 < 0:
             raise ConfigError(f"lr0 must be >= 0, got {self.lr0}")
         if not 0 <= self.momentum < 1:
@@ -259,7 +265,7 @@ class SearchSpace:
     def __post_init__(self):
         for name in ("lr0", "half_life", "init_scale"):
             lo, hi = getattr(self, name)
-            if not (0 < lo <= hi):
+            if not (0 < lo <= hi < math.inf):
                 raise ConfigError(f"invalid {name} range ({lo}, {hi})")
 
 
@@ -340,35 +346,30 @@ def random_search(
 # CSV exports
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), FLOAT_FMT)
+def write_csv(path, header: Sequence[str], rows) -> None:
+    """Header, then rows; float cells (float or numpy float64) print with FLOAT_FMT.
+
+    A float column that may hold an int must pass float(x).
+    """
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for row in rows:
+            writer.writerow([format(float(x), FLOAT_FMT) if isinstance(x, float) else x
+                             for x in row])
 
 
 def write_curves_csv(result: TrialResult, path) -> None:
     """Per-epoch curve: epoch, lr, train_mse, val_mse."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(CURVES_HEADER)
-        for rec in result.history:
-            writer.writerow([rec.epoch, _fmt(rec.lr), _fmt(rec.train_mse), _fmt(rec.val_mse)])
+    write_csv(path, CURVES_HEADER,
+              ([rec.epoch, rec.lr, rec.train_mse, rec.val_mse] for rec in result.history))
 
 
 def write_search_csv(results: Sequence[TrialResult], path) -> None:
     """Ranked trial summary: trial_id, lr0, half_life, init_scale, best_val, status."""
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SEARCH_HEADER)
-        for r in results:
-            writer.writerow(
-                [
-                    r.trial_id,
-                    _fmt(r.config.lr0),
-                    _fmt(r.config.half_life),
-                    _fmt(r.config.init_scale),
-                    _fmt(r.best_val),
-                    r.status,
-                ]
-            )
+    write_csv(path, SEARCH_HEADER, ([r.trial_id, float(r.config.lr0), float(r.config.half_life),
+                                     float(r.config.init_scale), r.best_val, r.status]
+                                    for r in results))
 
 
 def write_search_outputs(results: Sequence[TrialResult], out) -> TrialResult | None:

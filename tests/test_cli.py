@@ -140,13 +140,24 @@ FILTERS = ["filters", "--model", "MODEL", "--out", "OUT"]
 def usage_files(tmp_path_factory, data_file):
     root = tmp_path_factory.mktemp("usage")
     files = {name: root / name
-             for name in ("SHORT", "NOTRAIN", "NOVAL", "MODEL", "OUT", "MISSING")}
+             for name in ("SHORT", "NOTRAIN", "NOVAL", "MODEL", "OUT", "MISSING", "NANMODEL",
+                          "INFDATA", "REALTAG")}
     files["NODIR"] = root / "no-such-dir" / "x.cvds"
     files["DATA"] = data_file
     files["SHORT"].write_bytes(bytes(10))
     datagen.write_dataset(datagen.generate_bundle("sawtooth", 1, 0, 2, 2), files["NOTRAIN"])
     datagen.write_dataset(datagen.generate_bundle("sawtooth", 1, 2, 0, 2), files["NOVAL"])
     nn.save_model(nn.init_model(256, 3, 256, seed=1), files["MODEL"])
+    bad = nn.init_model(256, 3, 256, seed=1)
+    bad.w_in[0, 0] = np.nan
+    nn.save_model(bad, files["NANMODEL"])
+    # A real-field header (byte 5) and real-tanh tag (byte 18) over complex weights.
+    blob = bytearray(files["MODEL"].read_bytes())
+    blob[5], blob[18] = 1, 3
+    files["REALTAG"].write_bytes(bytes(blob))
+    data = datagen.generate_bundle("sawtooth", 1, 2, 2, 2)
+    data.train[1, 5] = np.inf
+    datagen.write_dataset(data, files["INFDATA"])
     return files
 
 
@@ -191,12 +202,25 @@ class TestUsageErrors:
         (["gen", "--kind", "sawtooth", "--train", "2", "--val", "2", "--test", "2",
           "--out", "NODIR"],
          "cvnet gen: error: [Errno 2] No such file or directory: '{NODIR}'"),
+        (["eval", "--model", "NANMODEL", "--data", "DATA", "--partition", "val"],
+         "cvnet eval: error: non-finite value in checkpoint w_in at byte 19"),
+        (FILTERS + ["--model", "NANMODEL"],
+         "cvnet filters: error: non-finite value in checkpoint w_in at byte 19"),
+        (SEARCH + ["--data", "INFDATA", "--hidden", "4", "--trials", "1"],
+         f"cvnet search: error: non-finite value in dataset train at byte {26 + 16 * 1029}"),
+        (FILTERS + ["--model", "REALTAG"],
+         "cvnet filters: error: inconsistent checkpoint: "
+         "real-field model has nonzero imaginary part in w_in"),
+        (TRAIN + ["--data", "DATA", "--hidden", "4", "--init-scale", "nan"],
+         "cvnet train: error: init_scale must be finite, got nan"),
     ], ids=["train-clip", "search-trials", "search-short-data", "gen-seed-negative",
             "gen-seed-too-large", "gen-seed-not-int", "gen-train-negative",
             "gen-test-negative", "train-seed-negative", "train-hidden-zero",
             "search-seed-negative", "search-jobs-zero", "filters-rows-zero",
             "train-empty-train", "train-empty-val", "eval-empty-partition",
-            "filters-rows-too-many", "eval-missing-model", "gen-missing-out-dir"])
+            "filters-rows-too-many", "eval-missing-model", "gen-missing-out-dir",
+            "eval-nan-checkpoint", "filters-nan-checkpoint", "search-inf-sample",
+            "filters-real-tag-complex-params", "train-init-scale-nan"])
     def test_one_line_and_exit_two(self, argv, message, usage_files):
         # A bad setting or input file is a usage error, not a traceback.
         proc = cli_subprocess([str(usage_files.get(a, a)) for a in argv])

@@ -134,6 +134,52 @@ class TestFiniteness:
             co.ensure_finite(np.array([np.inf + 0j]))
 
 
+class TestBlockFormat:
+    FMT = co.BlockFormat("thing", b"THNG", "<BB", 7)  # version, then a tag
+
+    @staticmethod
+    def layout(tag):
+        if tag != 1:
+            raise co.FormatError(f"unknown thing tag {tag} at byte 5")
+        return [("a", (2, 3)), ("b", (1,))]
+
+    def written(self, tmp_path):
+        path = tmp_path / "x.thng"
+        a = np.arange(6).reshape(2, 3) * (1 + 2j)
+        self.FMT.write(path, (1,), [a, np.array([0.5])])
+        return path, a
+
+    def test_roundtrip_and_layout(self, tmp_path):
+        path, a = self.written(tmp_path)
+        blob = path.read_bytes()
+        assert blob[:6] == b"THNG\x07\x01" and len(blob) == 6 + 7 * 16
+        fields, blocks = self.FMT.read(path, self.layout)
+        assert fields == (1,)
+        assert blocks["a"].dtype == co.COMPLEX and blocks["a"].tobytes() == a.tobytes()
+        assert blocks["b"].tolist() == [0.5 + 0j]
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda b: b[:5], "thing truncated in header at byte 5"),
+        (lambda b: b"XXXX" + b[4:], "bad thing magic b'XXXX' at byte 0"),
+        (lambda b: b[:4] + b"\x08" + b[5:], "unsupported thing version 8 at byte 4"),
+        (lambda b: b[:5] + b"\x02" + b[6:], "unknown thing tag 2 at byte 5"),
+        (lambda b: b[:40], "thing truncated in a at byte 40"),
+        (lambda b: b[:-1], "thing truncated in b at byte 117"),
+        (lambda b: b + b"\x00", "trailing bytes in thing at byte 118"),
+        (lambda b: b[:6 + 16 * 4 + 8] + np.array([np.inf]).tobytes() + b[6 + 16 * 5:],
+         "non-finite value in thing a at byte 70"),
+        (lambda b: b[:-16] + np.array([np.nan, 0.0]).tobytes(),
+         "non-finite value in thing b at byte 102"),
+    ], ids=["header", "magic", "version", "tag", "block-a", "block-b", "trailing",
+            "inf-imag", "nan-real"])
+    def test_errors_name_the_byte(self, tmp_path, edit, message):
+        path, _ = self.written(tmp_path)
+        path.write_bytes(edit(path.read_bytes()))
+        with pytest.raises(co.FormatError) as exc:
+            self.FMT.read(path, self.layout)
+        assert str(exc.value) == message
+
+
 @settings(max_examples=50)
 @given(complex_scalars, complex_scalars)
 def test_product_magnitude_and_phase(z, w):

@@ -432,6 +432,16 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated"):
             nn.load_model(p)
 
+    def test_real_field_tag_over_complex_tanh_is_format_error(self, tmp_path):
+        p = tmp_path / "m.cvnn"
+        nn.save_model(nn.init_model(4, 3, 4, field="complex", seed=9), p)
+        blob = bytearray(p.read_bytes())
+        blob[5] = 1  # field tag: real; the activation tag stays complex-tanh
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="^inconsistent checkpoint: real-field models "
+                                              "use the real-tanh activation$"):
+            nn.load_model(p)
+
     def test_real_models_store_zero_imag_pairs(self, tmp_path):
         m = nn.init_model(8, 3, 8, field="real", init_scale=1.0, seed=10)
         loaded, _ = self.roundtrip(m, tmp_path)

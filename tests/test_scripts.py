@@ -79,6 +79,20 @@ def test_protocol_usage_error_is_one_line(tmp_path, args):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("pairs", ["0", "-1"])
+def test_bench_ab_without_pairs_is_a_usage_error(tmp_path, pairs):
+    # An empty report would read as a pass, so no pairs is refused up front.
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_ab.py"), "--out", str(out),
+         "--pairs", pairs], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        f"bench_ab.py: error: argument --pairs: must be >= 1, got {pairs}"]
+    assert not out.exists()
+
+
 def test_bench_ab_report_schema(tmp_path):
     # One quick pair and one traced run per side on one workload; only the
     # report's shape is checked.

@@ -60,6 +60,9 @@ class TestSchedule:
     @pytest.mark.parametrize("bad", [
         dict(lr0=-1.0), dict(momentum=1.0), dict(half_life=0.0),
         dict(init_scale=0.0), dict(epochs=0), dict(clip=0.0), dict(clip=-1.0),
+        dict(lr0=np.nan), dict(lr0=np.inf), dict(half_life=np.nan), dict(half_life=np.inf),
+        dict(init_scale=np.nan), dict(init_scale=np.inf), dict(clip=np.nan),
+        dict(clip=np.inf), dict(momentum=np.nan),
     ])
     def test_invalid_configs_rejected(self, bad):
         with pytest.raises(trainer.ConfigError):
@@ -302,8 +305,10 @@ class TestRandomSearch:
             assert outputs[0] == outputs[1], field
 
     def test_invalid_space_rejected(self):
-        with pytest.raises(trainer.ConfigError):
-            trainer.SearchSpace(lr0=(0.0, 1.0))
+        for bad in (dict(lr0=(0.0, 1.0)), dict(lr0=(1e-3, np.inf)),
+                    dict(half_life=(10.0, np.nan)), dict(init_scale=(np.nan, 1.0))):
+            with pytest.raises(trainer.ConfigError):
+                trainer.SearchSpace(**bad)
 
     def test_n_trials_must_be_positive(self, small_data):
         with pytest.raises(trainer.ConfigError):
@@ -334,6 +339,16 @@ class TestCsvExports:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "trial_id,lr0,half_life,init_scale,best_val,status"
         assert len(lines) == 3
+
+    def test_int_valued_settings_print_as_floats(self, small_data, tmp_path):
+        space = trainer.SearchSpace(lr0=(1, 1), half_life=(10, 10), init_scale=(1, 1))
+        res = trainer.random_search(small_data, field="complex", hidden=4, n_trials=1,
+                                    seed=5, epochs=1, batch_size=30, space=space)
+        path = tmp_path / "search.csv"
+        trainer.write_search_csv(res, path)
+        row = path.read_text().splitlines()[1].split(",")
+        assert row[:4] == ["0", "1.0000000000000000e+00", "1.0000000000000000e+01",
+                           "1.0000000000000000e+00"]
 
 
 class TestWriteSearchOutputs:
