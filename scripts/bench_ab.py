@@ -135,7 +135,12 @@ def main(argv=None) -> int:
         ap.exit(2, f"{ap.prog}: error: argument --pairs: must be >= 1, got {args.pairs}\n")
 
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    workloads = args.workloads or [w["name"] for w in spec["workloads"]]
+    known = [w["name"] for w in spec["workloads"]]
+    for name in args.workloads or []:  # else every run would fail after the export
+        if name not in known:
+            ap.exit(2, f"{ap.prog}: error: argument --workloads: unknown workload {name!r} "
+                       f"(choose from {', '.join(known)})\n")
+    workloads = args.workloads or known
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     parent_sha = git("rev-parse", args.parent).decode().strip()
     report = {

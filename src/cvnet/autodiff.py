@@ -1,5 +1,10 @@
 """Reverse-mode differentiation for complex-valued computation graphs.
 
+The engine builds add and matmul (Var's + and @, either operand order),
+elementwise() nodes of REGISTRY ops (conjugation and the real part are
+"conj" and "re") and the loss roots mse() and sum_abs2(), which share one
+squared-error node. Other arithmetic on a Var raises TypeError.
+
 Every differentiable quantity is a Var wrapping a float64 or complex128
 array (see promote()), and every op keeps its operands' dtype; one
 complex128 operand makes the result complex128. matmul never widens a
@@ -116,29 +121,11 @@ class Var:
     def __radd__(self, other):
         return add(other, self)
 
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    def __rmul__(self, other):
-        return mul(other, self)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
     def __rmatmul__(self, other):
         return matmul(other, self)
-
-    def __neg__(self):
-        return neg(self)
-
-    def conj(self):
-        return conj(self)
 
 
 def promote(x) -> np.ndarray:
@@ -192,28 +179,6 @@ def add(x, y) -> Var:
     return _node(xv + yv, "add", (x, y), (
         lambda gamma, delta: _unbroadcast(delta, xs),
         lambda gamma, delta: _unbroadcast(delta, ys),
-    ))
-
-
-def neg(x) -> Var:
-    return _node(-_value(x), "neg", (x,), (lambda gamma, delta: -delta,))
-
-
-def sub(x, y) -> Var:
-    xv, yv = _value(x), _value(y)
-    xs, ys = xv.shape, yv.shape
-    return _node(xv - yv, "sub", (x, y), (
-        lambda gamma, delta: _unbroadcast(delta, xs),
-        lambda gamma, delta: _unbroadcast(-delta, ys),
-    ))
-
-
-def mul(x, y) -> Var:
-    """Elementwise (Hadamard) product; holomorphic in each operand."""
-    xv, yv = _value(x), _value(y)
-    return _node(xv * yv, "mul", (x, y), (
-        lambda gamma, delta: _unbroadcast(delta * yv.conj(), xv.shape),
-        lambda gamma, delta: _unbroadcast(delta * xv.conj(), yv.shape),
     ))
 
 
@@ -275,28 +240,22 @@ def elementwise(x, name: str) -> Var:
     return _node(y, name, (x,), (rule,), reads_gamma=not op.holomorphic)
 
 
-def conj(x) -> Var:
-    """Complex conjugate as a graph node: J = 0, Jc = 1."""
-    return elementwise(x, "conj")
+def _squared_error(op: str, x, e: np.ndarray, n: int) -> Var:
+    """Real scalar squared_norm(e) / n of x's residual e; as the root it emits e / n."""
+    return _node(squared_norm(e) / n, op, (x,), (lambda gamma, delta: (gamma + delta) * (e / n),),
+                 reads_gamma=True)
 
 
 def sum_abs2(x) -> Var:
-    """L = sum_k z_k conj(z_k), a real scalar; valid backward() root.
-
-    As the root (seeded with (1, 0)) the emitted cogradient is exactly z.
-    """
-    xv = _value(x)
-    value = squared_norm(xv)
-    return _node(value, "sum_abs2", (x,), (lambda gamma, delta: (gamma + delta) * xv,),
-                 reads_gamma=True)
+    """L = sum_k z_k conj(z_k), a real scalar; valid backward() root."""
+    return _squared_error("sum_abs2", x, _value(x), 1)
 
 
 def mse(pred, target, n_dof: int) -> Var:
     """Squared error sum(e conj(e)) / n_dof as a real scalar graph node.
 
     n_dof counts real degrees of freedom, so one complex element counts as
-    two when complex- and real-valued predictors are compared. The emitted
-    cogradient at the root is e / n_dof.
+    two when complex- and real-valued predictors are compared.
     """
     pv = _value(pred)
     t = promote(target)
@@ -304,10 +263,7 @@ def mse(pred, target, n_dof: int) -> Var:
         raise DimensionError(f"prediction shape {pv.shape} != target shape {t.shape}")
     if n_dof <= 0:
         raise ValueError(f"n_dof must be positive, got {n_dof}")
-    e = pv - t
-    value = squared_norm(e) / n_dof
-    return _node(value, "mse", (pred,), (lambda gamma, delta: (gamma + delta) * (e / n_dof),),
-                 reads_gamma=True)
+    return _squared_error("mse", pred, pv - t, n_dof)
 
 
 # ---------------------------------------------------------------------------

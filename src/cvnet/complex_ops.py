@@ -14,6 +14,7 @@ BlockFormat is the one binary container of dataset and checkpoint files.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -51,7 +52,7 @@ class BlockFormat:
         with open(path, "wb") as fh:
             fh.write(self.magic + struct.pack(self.header, self.version, *fields))
             for arr in blocks:
-                fh.write(np.ascontiguousarray(arr, dtype="<c16").tobytes())
+                fh.write(np.ascontiguousarray(arr, dtype="<c16"))
 
     def read(
         self, path, layout: Callable[..., Sequence[tuple[str, tuple[int, ...]]]]
@@ -60,29 +61,30 @@ class BlockFormat:
 
         layout(*fields) checks the tags and gives each block's (name, shape).
         """
-        with open(path, "rb") as fh:
-            blob = fh.read()
         start = len(self.magic)
         offset = start + struct.calcsize(self.header)
-        if len(blob) < offset:
-            raise FormatError(f"{self.what} truncated in header at byte {len(blob)}")
-        if blob[:start] != self.magic:
-            raise FormatError(f"bad {self.what} magic {blob[:start]!r} at byte 0")
-        version, *fields = struct.unpack_from(self.header, blob, start)
-        if version != self.version:
-            raise FormatError(f"unsupported {self.what} version {version} at byte {start}")
-        blocks = {}
-        for name, shape in layout(*fields):
-            count = math.prod(shape)
-            if offset + 16 * count > len(blob):
-                raise FormatError(f"{self.what} truncated in {name} at byte {len(blob)}")
-            arr = np.frombuffer(blob, "<c16", count, offset).astype(COMPLEX).reshape(shape)
-            if not np.isfinite(arr).all():
-                bad = offset + 16 * int(np.flatnonzero(~np.isfinite(arr))[0])
-                raise FormatError(f"non-finite value in {self.what} {name} at byte {bad}")
-            blocks[name] = arr
-            offset += 16 * count
-        if offset != len(blob):
+        with open(path, "rb") as fh:
+            size = os.fstat(fh.fileno()).st_size
+            if size < offset:
+                raise FormatError(f"{self.what} truncated in header at byte {size}")
+            head = fh.read(offset)
+            if head[:start] != self.magic:
+                raise FormatError(f"bad {self.what} magic {head[:start]!r} at byte 0")
+            version, *fields = struct.unpack_from(self.header, head, start)
+            if version != self.version:
+                raise FormatError(f"unsupported {self.what} version {version} at byte {start}")
+            blocks = {}
+            for name, shape in layout(*fields):
+                count = math.prod(shape)
+                if offset + 16 * count > size:
+                    raise FormatError(f"{self.what} truncated in {name} at byte {size}")
+                arr = np.fromfile(fh, "<c16", count).astype(COMPLEX, copy=False).reshape(shape)
+                if not np.isfinite(arr).all():
+                    bad = offset + 16 * int(np.flatnonzero(~np.isfinite(arr))[0])
+                    raise FormatError(f"non-finite value in {self.what} {name} at byte {bad}")
+                blocks[name] = arr
+                offset += 16 * count
+        if offset != size:
             raise FormatError(f"trailing bytes in {self.what} at byte {offset}")
         return tuple(fields), blocks
 

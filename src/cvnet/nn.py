@@ -175,6 +175,8 @@ class RecurrentModel:
                 if np.any(arr.imag != 0.0):
                     raise ValueError(f"real-field model has nonzero imaginary part in {name}")
                 setattr(self, name, np.ascontiguousarray(arr.real, dtype=np.float64))
+        elif self.activation is ActivationKind.REAL_TANH:
+            raise ValueError("complex-field models do not use the real-tanh activation")
         h, d_in = self.w_in.shape
         if self.w_rec.shape != (h, h):
             raise ValueError(f"w_rec shape {self.w_rec.shape} does not match hidden size {h}")
@@ -325,5 +327,5 @@ def load_model(path) -> RecurrentModel:
     (field_tag, *_, act_tag), arrays = _FORMAT.read(path, layout)
     try:
         return RecurrentModel(field=fields[field_tag], activation=acts[act_tag], **arrays)
-    except ValueError as exc:  # a real-field tag over complex-only content
+    except ValueError as exc:  # the tags contradict each other or the content
         raise FormatError(f"inconsistent checkpoint: {exc}") from None

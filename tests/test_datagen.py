@@ -1,6 +1,7 @@
 """Waveform generators, frame handling, and the dataset file format."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -326,6 +327,22 @@ class TestBundleIO:
         path.write_bytes(b"NOPE" + bytes(40))
         with pytest.raises(FormatError, match="byte 0"):
             dg.read_dataset(path)
+
+    def test_read_holds_one_copy_of_the_file(self, tmp_path):
+        # Blocks are read straight into their arrays, so the traced peak of
+        # a read stays near the file's size instead of twice it.
+        rng = make_rng(5)
+        parts = [rng.normal(size=(n, dg.N_SAMPLES)) + 0j for n in (200, 60, 60)]
+        path = tmp_path / "data.cvds"
+        dg.write_dataset(dg.DatasetBundle(dg.DatasetKind.SAWTOOTH, 5, *parts), path)
+        size = path.stat().st_size  # about 5.2 MB
+        tracemalloc.start()
+        try:
+            dg.read_dataset(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * size, (peak, size)
 
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.cvds", tmp_path / "b.cvds"

@@ -432,14 +432,19 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated"):
             nn.load_model(p)
 
-    def test_real_field_tag_over_complex_tanh_is_format_error(self, tmp_path):
+    @pytest.mark.parametrize("byte, value, message", [
+        (5, 1, "real-field models use the real-tanh activation"),
+        (18, 3, "complex-field models do not use the real-tanh activation"),
+    ], ids=["real-field-complex-tanh", "complex-field-real-tanh"])
+    def test_contradictory_tags_are_format_error(self, tmp_path, byte, value, message):
+        # Byte 5 is the field tag, byte 18 the activation tag; real-tanh is
+        # the activation of real-field models and of no other.
         p = tmp_path / "m.cvnn"
         nn.save_model(nn.init_model(4, 3, 4, field="complex", seed=9), p)
         blob = bytearray(p.read_bytes())
-        blob[5] = 1  # field tag: real; the activation tag stays complex-tanh
+        blob[byte] = value
         p.write_bytes(bytes(blob))
-        with pytest.raises(FormatError, match="^inconsistent checkpoint: real-field models "
-                                              "use the real-tanh activation$"):
+        with pytest.raises(FormatError, match=f"^inconsistent checkpoint: {message}$"):
             nn.load_model(p)
 
     def test_real_models_store_zero_imag_pairs(self, tmp_path):

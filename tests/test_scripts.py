@@ -93,6 +93,20 @@ def test_bench_ab_without_pairs_is_a_usage_error(tmp_path, pairs):
     assert not out.exists()
 
 
+def test_bench_ab_unknown_workload_is_a_usage_error(tmp_path):
+    # Checked before the parent is exported; perfbench would fail every run.
+    out = tmp_path / "bench.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench_ab.py"), "--out", str(out),
+         "--workloads", "full-real", "full-imaginary"], capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "bench_ab.py: error: argument --workloads: unknown workload 'full-imaginary' "
+        "(choose from full-complex, full-real, desk-search)"]
+    assert not out.exists()
+
+
 def test_bench_ab_report_schema(tmp_path):
     # One quick pair and one traced run per side on one workload; only the
     # report's shape is checked.
