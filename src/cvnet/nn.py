@@ -32,18 +32,46 @@ from .complex_ops import COMPLEX, BlockFormat, FormatError, make_rng, sample_cir
 # Activations
 # ---------------------------------------------------------------------------
 
-def ctanh_values(z: np.ndarray) -> np.ndarray:
-    """Elementwise complex tanh.
+_CTANH_BLOCK = 8192  # elements per block: five float64 scratch rows of 64 KiB
 
-    tanh has poles at i*pi/2*(2k+1), but no float64 input lands on one:
-    the points nearest the poles give |tanh| between 1.6e16 (at i*pi/2)
-    and 1.6e18 (for k < 2000). Overflow on the way to divergence gives
-    inf or nan, which the training loop's non-finite loss and cogradient
-    checks turn into a diverged trial.
+
+def ctanh_values(z: np.ndarray) -> np.ndarray:
+    """Elementwise tanh: np.tanh on float64 input, fully complex otherwise.
+
+    Complex z = x+iy gives [t(1+u^2) + i u(1-t^2)] / (1 + t^2 u^2), t = tanh x,
+    u = tan y, from float64 SIMD tanh and tan on contiguous copies of the parts
+    in blocks; it is within 4e-15 of |tanh z| of np.tanh (TestComplexTanh).
+    The float64 points nearest the poles i*pi/2*(2k+1) give |tanh| of 1.6e16
+    at k = 0 and at most 1.6e18 for k < 2000. Finite input gives finite
+    output: |tan y| <= 1.6e16, and the denominator is at least 1. A NaN part
+    gives a non-finite output, and an infinite part may give NaN where C99
+    gives +-1 (inf + i*inf); training's non-finite checks end such a trial.
     """
     z = ad.promote(z)
-    with np.errstate(over="ignore", invalid="ignore"):
+    if z.dtype != COMPLEX:
         return np.tanh(z)
+    out = np.empty(z.shape, COMPLEX)
+    zf, of = np.ascontiguousarray(z).reshape(-1), out.reshape(-1)
+    scratch = np.empty((5, min(zf.size, _CTANH_BLOCK)))
+    with np.errstate(invalid="ignore"):
+        for s in range(0, zf.size, _CTANH_BLOCK):
+            zb, ob = zf[s:s + _CTANH_BLOCK], of[s:s + _CTANH_BLOCK]
+            t, u, t2, u2, den = scratch[:, :zb.size]
+            np.copyto(t, zb.real)
+            np.tanh(t, out=t)
+            np.copyto(u, zb.imag)
+            np.tan(u, out=u)
+            np.multiply(t, t, out=t2)
+            np.multiply(u, u, out=u2)
+            np.multiply(t2, u2, out=den)
+            den += 1.0
+            u2 += 1.0
+            t *= u2
+            np.subtract(1.0, t2, out=t2)
+            u *= t2
+            np.divide(t, den, out=ob.real)
+            np.divide(u, den, out=ob.imag)
+    return out
 
 
 def _ctanh_pair(z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, int]:

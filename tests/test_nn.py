@@ -1,5 +1,7 @@
 """Activations, loss, the recurrent models, and the checkpoint format."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -39,6 +41,90 @@ class TestComplexTanh:
         rng = make_rng(72)
         probes = [0.8 * sample_circular_gaussian(rng, 3, 1.0) for _ in range(20)]
         assert ad.is_holomorphic_numeric(nn.ctanh_values, probes, tol=1e-8)
+
+    # The kernel against np.tanh: |ctanh - np.tanh| <= 4e-15 |np.tanh|.
+    @staticmethod
+    def assert_matches_numpy(z):
+        got, want = nn.ctanh_values(z), np.tanh(z)
+        assert got.dtype == np.complex128 and got.shape == z.shape
+        assert np.all(np.isfinite(got))
+        assert np.all(np.abs(got - want) <= 4e-15 * np.abs(want)), np.max(
+            np.abs(got - want) / np.abs(want)
+        )
+
+    @pytest.mark.parametrize("family", [
+        "unit-circle", "radius-20", "near-first-pole", "imag-up-to-1e6", "radius-1e-200",
+        "real-part-5-to-30",
+    ])
+    def test_agrees_with_numpy_on_input_family(self, family):
+        rng = np.random.default_rng(81)
+        n = 20_000
+        phase = np.exp(2j * np.pi * rng.random(n))
+        z = {
+            "unit-circle": phase * (1 + 1e-3 * rng.standard_normal(n)),
+            "radius-20": 20 * phase,
+            "near-first-pole": 0.5j * np.pi + 1e-9 * rng.random(n) * phase,
+            "imag-up-to-1e6": rng.standard_normal(n) + 1j * rng.uniform(-1e6, 1e6, n),
+            "radius-1e-200": 1e-200 * phase,
+            "real-part-5-to-30": (rng.choice([-1, 1], n) * rng.uniform(5, 30, n)
+                                  + 1j * rng.uniform(-4, 4, n)),
+        }[family]
+        self.assert_matches_numpy(z)
+
+    def test_agrees_with_numpy_on_axes_and_edge_grid(self):
+        mags = np.array([0.0, 5e-324, 1e-300, 1e-10, 0.5, 1.0, np.pi / 2, 20.0, 710.0, 1e10,
+                         1e300])
+        axis = np.concatenate([-mags[::-1], mags])
+        self.assert_matches_numpy(axis.astype(complex))
+        self.assert_matches_numpy(1j * axis)
+        self.assert_matches_numpy(axis[:, None] + 1j * axis[None, :])
+
+    @pytest.mark.parametrize("shape", [(), (0,), (1,), (8191,), (8192,), (8193,),
+                                       (3 * 8192 + 5,), (7, 0, 3), (3, 5000)])
+    def test_sizes_across_block_edges(self, shape):
+        rng = np.random.default_rng(82)
+        z = rng.standard_normal(shape) * 2 + 2j * rng.standard_normal(shape)
+        self.assert_matches_numpy(np.asarray(z))
+
+    @pytest.mark.parametrize("view", ["transpose", "every-other-column"])
+    def test_non_contiguous_input(self, view):
+        rng = np.random.default_rng(83)
+        z = rng.standard_normal((300, 70)) + 1j * rng.standard_normal((300, 70))
+        before = z.copy()
+        zv = z.T if view == "transpose" else z[:, ::2]
+        assert not zv.flags.c_contiguous
+        self.assert_matches_numpy(zv)
+        np.testing.assert_array_equal(z, before)
+
+    def test_float64_input_is_numpy_tanh_bit_for_bit(self):
+        x = np.concatenate([np.linspace(-30, 30, 1001), [0.0, -0.0, 1e-300, np.inf, -np.inf,
+                                                         np.nan]])
+        got = nn.ctanh_values(x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == np.tanh(x).tobytes()
+
+    def test_non_finite_input(self):
+        nan, inf = np.nan, np.inf
+        # A NaN in either part gives a non-finite output.
+        for z in (complex(nan, 0.5), complex(0.5, nan), complex(nan, nan), complex(inf, nan)):
+            assert not np.isfinite(nn.ctanh_values(np.array([z]))).all()
+        # An infinite real part over a finite imaginary part gives +-1, as in C99.
+        for x in (inf, -inf):
+            got = nn.ctanh_values(np.array([complex(x, 0.5), complex(x, 1e300)]))
+            np.testing.assert_array_equal(got, np.sign(x) + 0j)
+        # An infinite imaginary part gives NaN, also where C99 gives +-1 (inf + i*inf).
+        for z in (complex(0.5, inf), complex(inf, inf), complex(-inf, -inf)):
+            assert np.isnan(nn.ctanh_values(np.array([z]))).all()
+
+    def test_pole_magnitudes_match_numpy_and_docstring(self):
+        # The float64 values nearest pi/2 + k*pi, rounded once from a 32-digit pi.
+        pi = Fraction(np.pi) + Fraction(1.2246467991473532e-16)
+        y = np.array([float((k + Fraction(1, 2)) * pi) for k in range(2000)])
+        mag = np.abs(nn.ctanh_values(1j * y))
+        want = np.abs(np.tanh(1j * y[:5]))
+        assert np.all(np.abs(mag[:5] - want) <= 2 * np.spacing(want))
+        assert 1.6e16 <= mag[0] < 1.7e16
+        assert 1.6e18 <= mag.max() < 1.7e18
 
 
 class TestSplitMagnitude:
