@@ -11,8 +11,11 @@ once from the working tree, each with its own perfbench; the side that
 runs first alternates from pair to pair, so a drifting host speed falls on
 both sides alike. The JSON written to --out holds, per workload and end-to-end
 metric, each side's values, median and interquartile range, the number of
-pairs the change won, and whether the change's median is worse than the
-parent's by more than the metric's bound in BENCHMARK.json; plus both
+pairs the change won, whether the change's median is worse than the
+parent's by more than the metric's bound in BENCHMARK.json, and whether
+the metric is unresolved: the parent's IQR exceeds the bound times its
+|median| and not every change run beats every parent run. The report lists
+the flagged and the unresolved metrics as workload/metric; plus both
 SHAs, each side's environment block and whether both sides ran the same
 source (`same_source`, from the env blocks' `src_sha256`; a warning is
 printed when they did, as when --parent is HEAD and the working tree is
@@ -20,7 +23,8 @@ clean). With --trace, each side also makes one traced run per workload
 (`perfbench/run.py --trace 1 --seed 1`), and the workload's `per_layer`
 entry holds each per-layer metric of BENCHMARK.json for both sides with
 its relative change; without it `per_layer` is null. Exit code 0 means
-every run passed its checks and no metric was flagged.
+every run passed its checks and no metric was flagged; an unresolved
+metric does not change it.
 """
 
 from __future__ import annotations
@@ -103,9 +107,16 @@ def compare(spec: dict, runs: dict) -> dict:
         base, new = summary["parent"]["median"], summary["change"]["median"]
         rel = relative(base, new)
         worse = rel is not None and (rel > m["bound"] if lower else -rel > m["bound"])
+        # The parent's own spread is wider than the bound: no change within
+        # the bound can be told apart, unless every change run beats every
+        # parent run.
+        noisy = base is not None and summary["parent"]["iqr"] > m["bound"] * abs(base)
+        separated = bool(vals["change"] and vals["parent"]) and (
+            max(vals["change"]) < min(vals["parent"]) if lower
+            else min(vals["change"]) > max(vals["parent"]))
         out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"], **summary,
                      "rel_change": rel, "wins": wins, "pairs": len(pairs),
-                     "worse_beyond_bound": worse}
+                     "worse_beyond_bound": worse, "unresolved": noisy and not separated}
     return out
 
 
@@ -184,14 +195,15 @@ def main(argv=None) -> int:
                 "runs": {side: [{k: v for k, v in r.items() if k != "env"} for r in runs[side]]
                          for side in SIDES},
             }
-    report["flagged"] = [f"{w}/{name}" for w, entry in report["workloads"].items()
-                         for name, m in entry["metrics"].items() if m["worse_beyond_bound"]]
+    for key, field in (("flagged", "worse_beyond_bound"), ("unresolved", "unresolved")):
+        report[key] = [f"{w}/{name}" for w, entry in report["workloads"].items()
+                       for name, m in entry["metrics"].items() if m[field]]
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     failed = sum(n for entry in report["workloads"].values() for n in entry["failed_runs"].values())
     failed += sum(not ok for entry in report["workloads"].values() if entry["per_layer"]
                   for ok in entry["per_layer"]["ok"].values())
-    print(f"wrote {args.out}: {failed} failed run(s), flagged {report['flagged'] or 'nothing'}",
-          file=sys.stderr)
+    print(f"wrote {args.out}: {failed} failed run(s), flagged {report['flagged'] or 'nothing'}, "
+          f"unresolved {report['unresolved'] or 'nothing'}", file=sys.stderr)
     return 0 if not failed and not report["flagged"] else 1
 
 

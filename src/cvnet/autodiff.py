@@ -411,22 +411,22 @@ def wirtinger_pair_numeric(
             raise EvaluationError(f"non-finite function value at probe point {z!r}")
         return y.ravel()
 
+    flat = z0.ravel()
+
+    def central(k, step):
+        zp = flat.copy()
+        zp[k] = flat[k] + step
+        zm = flat.copy()
+        zm[k] = flat[k] - step
+        return (probe(zp.reshape(z0.shape)) - probe(zm.reshape(z0.shape))) / (2 * eps)
+
     y0 = probe(z0)
     n, m = z0.size, y0.size
     j = np.empty((m, n), dtype=COMPLEX)
     jc = np.empty((m, n), dtype=COMPLEX)
-    flat = z0.ravel()
     for k in range(n):
-        zp = flat.copy()
-        zp[k] = flat[k] + eps
-        zm = flat.copy()
-        zm[k] = flat[k] - eps
-        dfdx = (probe(zp.reshape(z0.shape)) - probe(zm.reshape(z0.shape))) / (2 * eps)
-        zp = flat.copy()
-        zp[k] = flat[k] + 1j * eps
-        zm = flat.copy()
-        zm[k] = flat[k] - 1j * eps
-        dfdy = (probe(zp.reshape(z0.shape)) - probe(zm.reshape(z0.shape))) / (2 * eps)
+        dfdx = central(k, eps)
+        dfdy = central(k, 1j * eps)
         j[:, k] = 0.5 * (dfdx - 1j * dfdy)
         jc[:, k] = 0.5 * (dfdx + 1j * dfdy)
     return JacobianPair(j, jc)

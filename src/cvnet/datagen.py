@@ -226,13 +226,11 @@ def generate_bundle(
     full_phase_range: bool = False,
 ) -> DatasetBundle:
     kind = DatasetKind(kind)
-    return DatasetBundle(
-        kind=kind,
-        seed=int(seed),
-        train=_gen_partition(kind, seed, 0, n_train, full_phase_range),
-        val=_gen_partition(kind, seed, 1, n_val, full_phase_range),
-        test=_gen_partition(kind, seed, 2, n_test, full_phase_range),
-    )
+    counts = {"train": n_train, "val": n_val, "test": n_test}
+    return DatasetBundle(kind=kind, seed=int(seed), **{
+        name: _gen_partition(kind, seed, stream, counts[name], full_phase_range)
+        for name, stream in _PARTITION_STREAMS.items()
+    })
 
 
 def bundles_equal(a: DatasetBundle, b: DatasetBundle) -> bool:
@@ -241,7 +239,7 @@ def bundles_equal(a: DatasetBundle, b: DatasetBundle) -> bool:
         and a.seed == b.seed
         and all(
             x.shape == y.shape and x.tobytes() == y.tobytes()
-            for x, y in ((a.train, b.train), (a.val, b.val), (a.test, b.test))
+            for x, y in ((a.partition(n), b.partition(n)) for n in _PARTITION_STREAMS)
         )
     )
 
@@ -344,9 +342,3 @@ def build_views(
     frames = [_frame_view(samples, i, kind, field) for i in range(N_FRAMES - 1)]
     return frames, _frame_view(samples, N_FRAMES - 1, kind, field, order="C")
 
-
-def target_view(samples: np.ndarray, kind: DatasetKind, field: str) -> np.ndarray:
-    """build_views' target alone: only the last frame is read, checked and widened."""
-    samples = _observations(samples)
-    ensure_finite(samples[:, (N_FRAMES - 1) * FRAME_LEN :], "samples")
-    return _frame_view(samples, N_FRAMES - 1, kind, field, order="C")

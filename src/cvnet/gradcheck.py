@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -37,143 +38,124 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray, atol: float, rtol: float
     return float(np.max(np.abs(analytic - numeric) / (atol / rtol + np.abs(numeric))))
 
 
+def _probe_loop(name: str, rng, n_probes: int, rtol: float, err) -> CheckEntry:
+    """Worst of err(rng, k) over the probes k < n_probes; a NaN error fails the entry."""
+    worst = float(np.max([err(rng, k) for k in range(n_probes)], initial=0.0))
+    return CheckEntry(name, worst, rtol, worst < rtol)
+
+
 def check_elementwise_op(
     name: str, seed: int, n_probes: int = 10, rtol: float = RTOL_DEFAULT
 ) -> CheckEntry:
     """Analytic (J, Jc) of a registered op vs the numeric pair."""
     op = ad.REGISTRY[name]
-    rng = make_rng(seed, zlib.crc32(name.encode()))  # str hash() is salted per process
-    worst = 0.0
-    for _ in range(n_probes):
+
+    def err(rng, _k):
         z = 0.5 * op.probe_radius * sample_circular_gaussian(rng, 3, 1.0)
         numeric = ad.wirtinger_pair_numeric(op.fn, z)
         analytic = ad.pair_at(name, z)
-        worst = max(worst, _rel_err(analytic.j, numeric.j, ATOL_DEFAULT))
-        worst = max(worst, _rel_err(analytic.jc, numeric.jc, ATOL_DEFAULT))
-    return CheckEntry(f"op:{name}", worst, rtol, worst < rtol)
+        return _rel_err(np.stack([analytic.j, analytic.jc]),
+                        np.stack([numeric.j, numeric.jc]), ATOL_DEFAULT)
+
+    rng = make_rng(seed, zlib.crc32(name.encode()))  # str hash() is salted per process
+    return _probe_loop(f"op:{name}", rng, n_probes, rtol, err)
 
 
-def check_mse(seed: int, n_probes: int = 10, rtol: float = RTOL_DEFAULT) -> CheckEntry:
-    rng = make_rng(seed, 101)
-    worst = 0.0
-    for _ in range(n_probes):
-        pred = sample_circular_gaussian(rng, 4, 1.0)
-        target = sample_circular_gaussian(rng, 4, 1.0)
-
-        def build(params, _t=target):
-            pv = {"pred": ad.Var(params["pred"])}
-            return ad.mse(pv["pred"], _t, 2 * _t.size), pv
-
-        worst = max(worst, _tensor_grads_vs_oracle(build, {"pred": pred}))
-    return CheckEntry("loss:mse", worst, rtol, worst < rtol)
-
-
-def _tensor_grads_vs_oracle(build_loss, params: dict[str, np.ndarray], atol=ATOL_DEFAULT) -> float:
+def _tensor_grads_vs_oracle(params: dict[str, np.ndarray], build) -> float:
     """Max relative error of backward() grads over every parameter tensor.
 
-    build_loss(params) must return the loss Var and the dict of leaf Vars.
-    The oracle differentiates the scalar loss with respect to one tensor at
-    a time, holding the others fixed.
+    build(leaves) must return the loss Var of the graph on the leaf Vars
+    {name: Var(params[name])}. The oracle differentiates the scalar loss
+    with respect to one tensor at a time, holding the others fixed.
     """
-    loss, pvars = build_loss(params)
+    def loss_at(arrays):
+        leaves = {name: ad.Var(arr) for name, arr in arrays.items()}
+        return build(leaves), leaves
+
+    loss, leaves = loss_at(params)
     ad.backward(loss)
-    worst = 0.0
-    for name, var in pvars.items():
+    errs = []
+    for name, var in leaves.items():
         def f(t, _name=name):
-            trial = dict(params)
-            trial[_name] = t
-            return build_loss(trial)[0].value
+            return loss_at({**params, _name: t})[0].value
         oracle = ad.wirtinger_pair_numeric(f, params[name])
-        worst = max(worst, _rel_err(var.grad, oracle.jc.reshape(var.grad.shape), atol))
-    return worst
+        errs.append(_rel_err(var.grad, oracle.jc.reshape(var.grad.shape), ATOL_DEFAULT))
+    return float(np.max(errs))
 
 
-def check_dense_layer(seed: int, n_probes: int = 10, rtol: float = RTOL_DEFAULT) -> CheckEntry:
-    """act(W x + b) under the squared-error loss, both activations."""
-    rng = make_rng(seed, 202)
-    worst = 0.0
-    for k in range(n_probes):
-        act = nn.ActivationKind.COMPLEX_TANH if k % 2 == 0 else nn.ActivationKind.SPLIT_MAGNITUDE
-        arrays = {
-            "w": 0.5 * sample_circular_gaussian(rng, (3, 4), 1.0),
-            "b": 0.5 * sample_circular_gaussian(rng, (3, 1), 1.0),
-        }
-        x = sample_circular_gaussian(rng, (4, 2), 1.0)
-        target = sample_circular_gaussian(rng, (3, 2), 1.0)
+# Each draw(rng, k) returns the (params, build) of probe k for
+# _tensor_grads_vs_oracle.
 
-        def build(params, _act=act, _x=x, _t=target):
-            pv = {name: ad.Var(arr) for name, arr in params.items()}
-            out = nn.apply_activation(pv["w"] @ _x + pv["b"], _act)
-            return nn.mse_loss(out, _t, "complex"), pv
-
-        worst = max(worst, _tensor_grads_vs_oracle(build, arrays))
-    return CheckEntry("layer:dense", worst, rtol, worst < rtol)
+def _draw_mse(rng, _k):
+    pred = sample_circular_gaussian(rng, 4, 1.0)
+    target = sample_circular_gaussian(rng, 4, 1.0)
+    return {"pred": pred}, lambda pv: ad.mse(pv["pred"], target, 2 * target.size)
 
 
-def _tiny_model(rng, field: str) -> nn.RecurrentModel:
-    d, h = 4, 3
+def _draw_dense(rng, k):
+    """act(W x + b) under the squared-error loss, alternating both activations."""
+    act = nn.ActivationKind.COMPLEX_TANH if k % 2 == 0 else nn.ActivationKind.SPLIT_MAGNITUDE
+    params = {
+        "w": 0.5 * sample_circular_gaussian(rng, (3, 4), 1.0),
+        "b": 0.5 * sample_circular_gaussian(rng, (3, 1), 1.0),
+    }
+    x = sample_circular_gaussian(rng, (4, 2), 1.0)
+    target = sample_circular_gaussian(rng, (3, 2), 1.0)
 
-    def draw(shape):
-        w = 0.4 * sample_circular_gaussian(rng, shape, 1.0)
-        return w if field == "complex" else w.real
+    def build(pv):
+        return nn.mse_loss(nn.apply_activation(pv["w"] @ x + pv["b"], act), target, "complex")
 
-    act = nn.ActivationKind.COMPLEX_TANH if field == "complex" else nn.ActivationKind.REAL_TANH
-    return nn.RecurrentModel(
-        field=field,
-        activation=act,
-        w_in=draw((h, d)),
-        b_in=draw((h, 1)),
-        w_rec=draw((h, h)),
-        b_rec=draw((h, 1)),
-        w_out=draw((d, h)),
-        b_out=draw((d, 1)),
-    )
+    return params, build
 
 
-# Variant -> (model field, real-valued data, stream id). build_views feeds
-# a complex model float64 frames and target on real-valued kinds.
+_TINY_SHAPES = {"w_in": (3, 4), "b_in": (3, 1), "w_rec": (3, 3), "b_rec": (3, 1),
+                "w_out": (4, 3), "b_out": (4, 1)}  # hidden 3, frame width 4
+
+
+def _tiny_model(rng, field: str, activation: nn.ActivationKind) -> nn.RecurrentModel:
+    params = {name: 0.4 * sample_circular_gaussian(rng, shape, 1.0)
+              for name, shape in _TINY_SHAPES.items()}
+    if field == "real":
+        params = {name: w.real for name, w in params.items()}
+    return nn.RecurrentModel(field=field, activation=activation, **params)
+
+
+# Variant -> (model field, activation, real-valued data, stream id).
+# build_views feeds a complex model float64 frames and target on
+# real-valued kinds.
 _RECURRENT_VARIANTS = {
-    "complex": ("complex", False, 303),
-    "real": ("real", True, 304),
-    "complex-real-data": ("complex", True, 305),
+    "complex": ("complex", nn.ActivationKind.COMPLEX_TANH, False, 303),
+    "real": ("real", nn.ActivationKind.REAL_TANH, True, 304),
+    "complex-real-data": ("complex", nn.ActivationKind.COMPLEX_TANH, True, 305),
+    "split-magnitude": ("complex", nn.ActivationKind.SPLIT_MAGNITUDE, False, 306),
 }
 
 
-def check_recurrent(
-    variant: str, seed: int, n_probes: int = 10, rtol: float = RTOL_DEFAULT
-) -> CheckEntry:
-    """Gradients through the 3-step unrolled recurrence on a tiny model.
+def _draw_recurrent(variant: str, rng, _k):
+    """The 3-step unrolled recurrence on a tiny model of the variant."""
+    field, activation, real_data, _ = _RECURRENT_VARIANTS[variant]
+    model = _tiny_model(rng, field, activation)
+    frames = [sample_circular_gaussian(rng, (4, 2), 1.0) for _ in range(3)]
+    target = sample_circular_gaussian(rng, (4, 2), 1.0)
+    if real_data:
+        frames = [f.real for f in frames]
+        target = target.real
 
-    variant is a key of _RECURRENT_VARIANTS: the model's field and whether
-    its frames and target are float64.
-    """
-    field, real_data, stream = _RECURRENT_VARIANTS[variant]
-    rng = make_rng(seed, stream)
-    worst = 0.0
-    for _ in range(n_probes):
-        model = _tiny_model(rng, field)
-        frames = [sample_circular_gaussian(rng, (4, 2), 1.0) for _ in range(3)]
-        target = sample_circular_gaussian(rng, (4, 2), 1.0)
-        if real_data:
-            frames = [f.real for f in frames]
-            target = target.real
+    def build(pv):
+        return nn.mse_loss(nn.predict_frame(pv, frames, activation), target, field)
 
-        def build(params, _m=model, _f=frames, _t=target):
-            pv = {name: ad.Var(arr) for name, arr in params.items()}
-            pred = nn.predict_frame(pv, _f, _m.activation)
-            return nn.mse_loss(pred, _t, _m.field), pv
-
-        worst = max(worst, _tensor_grads_vs_oracle(build, model.params()))
-    return CheckEntry(f"layer:recurrent-{variant}", worst, rtol, worst < rtol)
+    return model.params(), build
 
 
 def run_gradcheck(seed: int = 2024, n_probes: int = 10, rtol: float = RTOL_DEFAULT) -> list[CheckEntry]:
-    entries = [
-        check_elementwise_op(name, seed, n_probes, rtol) for name in sorted(ad.REGISTRY)
-    ]
-    entries.append(check_mse(seed, n_probes, rtol))
-    entries.append(check_dense_layer(seed, n_probes, rtol))
-    entries.extend(check_recurrent(v, seed, n_probes, rtol) for v in _RECURRENT_VARIANTS)
+    graph_checks = [("loss:mse", 101, _draw_mse), ("layer:dense", 202, _draw_dense)]
+    graph_checks += [(f"layer:recurrent-{variant}", stream, partial(_draw_recurrent, variant))
+                     for variant, (*_, stream) in _RECURRENT_VARIANTS.items()]
+    entries = [check_elementwise_op(name, seed, n_probes, rtol) for name in sorted(ad.REGISTRY)]
+    for name, stream, draw in graph_checks:
+        def err(rng, k, draw=draw):
+            return _tensor_grads_vs_oracle(*draw(rng, k))
+        entries.append(_probe_loop(name, make_rng(seed, stream), n_probes, rtol, err))
     return entries
 
 

@@ -14,6 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .complex_ops import COMPLEX
+from .datagen import FRAME_LEN
 from .nn import RecurrentModel
 from .trainer import ConfigError, write_csv
 
@@ -48,8 +49,8 @@ def filter_response(model: RecurrentModel, row: int) -> np.ndarray:
     if not 0 <= row < model.hidden:
         raise ValueError(f"row must be in [0, {model.hidden}), got {row}")
     w = model.w_in[row, :]
-    if w.shape[0] == 512:
-        w = w[:256].real + 1j * w[256:].real
+    if w.shape[0] == 2 * FRAME_LEN:
+        w = w[:FRAME_LEN].real + 1j * w[FRAME_LEN:].real
     return np.abs(dft(w))
 
 

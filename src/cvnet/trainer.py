@@ -95,7 +95,7 @@ def sgd_momentum_step(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         if clip is not None:
-            total = np.sqrt(sum(float(np.sum(np.abs(g) ** 2)) for g in grads.values()))
+            total = np.sqrt(sum(float(squared_norm(g)) for g in grads.values()))
             if total > clip:
                 scale = clip / total
                 grads = {name: g * scale for name, g in grads.items()}
@@ -165,11 +165,11 @@ def evaluate(model: nn.RecurrentModel, samples: np.ndarray, kind: datagen.Datase
 def zero_baseline_mse(samples: np.ndarray, kind: datagen.DatasetKind, field: str) -> float:
     """Error of the all-zero predictor, the floor any model must beat.
 
-    It reads the target frame only; the input frames are neither checked
-    nor widened.
+    The target comes from build_views, as in training and evaluation, so
+    every sample is checked for finiteness.
     """
     _check_nonempty(samples, "the baseline partition")
-    target = datagen.target_view(samples, kind, field)
+    target = datagen.build_views(samples, kind, field)[1]
     n_dof = nn.dof_multiplier(field) * target.size
     return float(squared_norm(target) / n_dof)
 

@@ -252,6 +252,22 @@ class TestChecks:
         out = capsys.readouterr().out
         assert any("FAIL" in line and "ctanh" in line for line in out.splitlines())
 
+    def test_gradcheck_fails_nan_derivative(self, monkeypatch, capsys):
+        # A NaN error must fail its entry, not be lost in the running maximum.
+        import cvnet.autodiff as ad
+
+        original = ad.REGISTRY["square"]
+
+        def nan_pair(z, y):
+            j, jc = original.pair(z, y)
+            return j, np.full_like(jc, np.nan)
+
+        monkeypatch.setitem(ad.REGISTRY, "square", ad.ElementwiseOp(
+            "square", original.fn, nan_pair, original.holomorphic, original.probe_radius))
+        assert run(["gradcheck", "--seed", "11"]) == 1
+        failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
+        assert len(failed) == 1 and "op:square" in failed[0] and "nan" in failed[0]
+
     def test_gradcheck_report_deterministic(self, capsys):
         run(["gradcheck", "--seed", "12"])
         first = capsys.readouterr().out

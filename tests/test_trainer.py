@@ -114,6 +114,14 @@ class TestSgdMomentumStep:
         v = {"w": np.zeros(1, dtype=COMPLEX)}
         trainer.sgd_momentum_step(p, {"w": np.array([100 + 0j])}, v, 1.0, 0.0, clip=1.0)
         assert abs(p["w"][0]) == pytest.approx(1.0, abs=1e-12)
+        # float64 gradients of a real-field model, norm 50 over two tensors
+        p = {"w": np.zeros(1), "b": np.zeros(2)}
+        v = {"w": np.zeros(1), "b": np.zeros(2)}
+        g = {"w": np.array([30.0]), "b": np.array([40.0, 0.0])}
+        trainer.sgd_momentum_step(p, g, v, 1.0, 0.0, clip=1.0)
+        assert p["w"].dtype == p["b"].dtype == np.float64
+        np.testing.assert_allclose(np.concatenate([p["w"], p["b"]]), [-0.6, -0.8, 0.0],
+                                   rtol=0, atol=1e-15)
 
 
 class TestTrain:
@@ -219,6 +227,8 @@ class TestNonFiniteData:
             trainer.train(model, dataclasses.replace(small_data, train=bad), cfg)
         with pytest.raises(ArithmeticError, match="samples"):
             trainer.evaluate(model, bad, small_data.kind)
+        with pytest.raises(ArithmeticError, match="samples"):  # sample 100 is in an input frame
+            trainer.zero_baseline_mse(bad, small_data.kind, "complex")
 
 
 class TestEvaluate:
