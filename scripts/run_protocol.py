@@ -8,10 +8,11 @@ test partition and `cvnet filters` writes OUT/<kind>/filters_<field>.csv.
 A command's nonzero exit code ends the script with that code.
 
 --protocol desk runs in minutes on one core. --protocol full is the
-paper's: one trial takes about an hour on one core, and each dataset file
-takes about 197 MB. The flags after --jobs override the protocol's table
-entry, to carve out slices. All outputs are deterministic in --seed; the
-search seed is the data seed + 1.
+paper's: 8-second benchmark runs project 0.64-0.69 h per complex trial on
+sawtooth on one core (BENCH_15.json; no 1000-epoch trial has run), and
+each dataset file takes about 197 MB. The flags after --jobs override the
+protocol's table entry, to carve out slices. All outputs are
+deterministic in --seed; the search seed is the data seed + 1.
 """
 
 import time

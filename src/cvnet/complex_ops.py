@@ -1,8 +1,10 @@
 """Array conventions and deterministic random sources.
 
-Waveforms, files and complex-field parameters hold numpy complex128
-arrays; real-field models, and the model-facing frames of real-valued
-kinds in both fields, hold float64 (autodiff.promote()).
+Complex-field parameters and the samples of analytic dataset kinds hold
+numpy complex128 arrays. Real-field models and the samples of real-valued
+kinds, and so their model-facing frames in both fields, hold float64
+(autodiff.promote(), datagen._observations()). Files store (re, im) pairs
+for both dtypes.
 numpy already does the arithmetic well, so this module only pins down
 the conventions the rest of the package relies on:
 finiteness is enforced at boundaries, shape mismatches raise a DimensionError
@@ -23,6 +25,8 @@ import numpy as np
 
 COMPLEX = np.complex128
 
+_CHUNK = 1 << 16  # (re, im) pairs staged per float64-block transfer: 1 MiB
+
 
 class DimensionError(ValueError):
     """Operand shapes do not line up."""
@@ -37,9 +41,12 @@ class BlockFormat:
     """Magic, a struct header whose first field is the version, then blocks.
 
     Blocks are little-endian float64 (re, im) pairs, back to back, with
-    nothing after the last. read() raises FormatError with `what` and a
-    byte offset, checking in file order: header, magic, version, the
-    caller's tags, each block's length and finiteness, trailing bytes.
+    nothing after the last. A float64 block is stored as (re, +0.0) pairs
+    and read back as float64; both directions stage about 1 MiB at a time,
+    never a complex copy of the whole block. read() raises FormatError with
+    `what` and a byte offset, checking in file order: header, magic,
+    version, the caller's tags, each block's length, finiteness and (for a
+    float64 block) zero imaginary parts, trailing bytes.
     """
 
     what: str  # noun for error messages, e.g. "dataset"
@@ -49,20 +56,30 @@ class BlockFormat:
 
     def write(self, path, fields: Sequence, blocks: Iterable[np.ndarray]) -> None:
         """Header fields after the version, then each block in order."""
+        staging = np.zeros(_CHUNK, "<c16")  # imaginary parts stay +0.0
         with open(path, "wb") as fh:
             fh.write(self.magic + struct.pack(self.header, self.version, *fields))
             for arr in blocks:
-                fh.write(np.ascontiguousarray(arr, dtype="<c16"))
+                if arr.dtype != np.float64:
+                    fh.write(np.ascontiguousarray(arr, dtype="<c16"))
+                    continue
+                flat = arr.reshape(-1)
+                for lo in range(0, flat.size, _CHUNK):
+                    pairs = staging[: min(_CHUNK, flat.size - lo)]
+                    pairs.real = flat[lo : lo + _CHUNK]
+                    fh.write(pairs)
 
     def read(
-        self, path, layout: Callable[..., Sequence[tuple[str, tuple[int, ...]]]]
+        self, path, layout: Callable[..., Sequence[tuple]]
     ) -> tuple[tuple, dict[str, np.ndarray]]:
-        """(header fields after the version, {block name: complex128 array}).
+        """(header fields after the version, {block name: array}).
 
-        layout(*fields) checks the tags and gives each block's (name, shape).
+        layout(*fields) checks the tags and gives each block's (name, shape)
+        for a complex128 block or (name, shape, np.float64) for a float64 one.
         """
         start = len(self.magic)
         offset = start + struct.calcsize(self.header)
+        staging = np.empty(_CHUNK, "<c16")
         with open(path, "rb") as fh:
             size = os.fstat(fh.fileno()).st_size
             if size < offset:
@@ -74,19 +91,38 @@ class BlockFormat:
             if version != self.version:
                 raise FormatError(f"unsupported {self.what} version {version} at byte {start}")
             blocks = {}
-            for name, shape in layout(*fields):
+            for name, shape, *dtype in layout(*fields):
                 count = math.prod(shape)
                 if offset + 16 * count > size:
                     raise FormatError(f"{self.what} truncated in {name} at byte {size}")
-                arr = np.fromfile(fh, "<c16", count).astype(COMPLEX, copy=False).reshape(shape)
-                if not np.isfinite(arr).all():
-                    bad = offset + 16 * int(np.flatnonzero(~np.isfinite(arr))[0])
-                    raise FormatError(f"non-finite value in {self.what} {name} at byte {bad}")
-                blocks[name] = arr
+                if dtype == [np.float64]:
+                    arr = np.empty(count)
+                    for lo in range(0, count, _CHUNK):
+                        pairs = staging[: min(_CHUNK, count - lo)]
+                        fh.readinto(pairs)
+                        self._check(pairs, name, offset + 16 * lo, real=True)
+                        arr[lo : lo + pairs.size] = pairs.real
+                else:
+                    arr = np.fromfile(fh, "<c16", count).astype(COMPLEX, copy=False)
+                    self._check(arr, name, offset, real=False)
+                blocks[name] = arr.reshape(shape)
                 offset += 16 * count
         if offset != size:
             raise FormatError(f"trailing bytes in {self.what} at byte {offset}")
         return tuple(fields), blocks
+
+    def _check(self, pairs: np.ndarray, name: str, offset: int, real: bool) -> None:
+        """Reject a non-finite pair, or a nonzero imaginary part if real, by its byte."""
+        good = np.isfinite(pairs)
+        if real:
+            good &= pairs.imag == 0
+        if not good.all():
+            i = int(np.argmin(good))
+            if np.isfinite(pairs[i]):
+                raise FormatError(
+                    f"nonzero imaginary part in {self.what} {name} at byte {offset + 16 * i + 8}"
+                )
+            raise FormatError(f"non-finite value in {self.what} {name} at byte {offset + 16 * i}")
 
 
 def ensure_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:

@@ -15,7 +15,12 @@ phases on a 1024-sample grid split into four 256-sample frames:
 Component phases are drawn from U[0, 1) radians (deliberately narrower
 than a full turn); pass full_phase_range=True to widen to U[0, 2*pi) for
 sensitivity experiments. Frequencies are in cycles/sample with Nyquist at
-0.5. Real-valued kinds carry an exactly zero imaginary part.
+0.5.
+
+A bundle's sample dtype follows its kind: real-valued kinds hold float64
+samples, analytic kinds complex128 (_observations is the one rule). Files
+store complex (re, im) pairs for every kind, with an exactly zero imaginary
+part for the real-valued ones.
 
 Every observation draws from its own counter-derived substream of the
 dataset seed, so generation order (or parallelism) cannot change bytes.
@@ -105,9 +110,9 @@ _BLOCK = 4096  # components per block: 4 MB of complex phasors
 def synthesize(spec: WaveformSpec) -> np.ndarray:
     """Render a spec on the 1024-sample grid.
 
-    Analytic specs sum a_n exp(i (2 pi f_n t + phi_n)); real specs take
-    the real part of that sum, a_n cos(2 pi f_n t + phi_n), with a zero
-    imaginary part.
+    Analytic specs sum a_n exp(i (2 pi f_n t + phi_n)) as complex128; real
+    specs take the real part of that sum, a_n cos(2 pi f_n t + phi_n), as
+    float64.
 
     No transcendental is evaluated per sample. With t = 32 a + b (the
     index split of Cooley & Tukey, Math. Comp. 19, 1965), each component
@@ -142,7 +147,7 @@ def synthesize(spec: WaveformSpec) -> np.ndarray:
         outer *= spec.amps[block, None]
         acc += outer.T @ inner
     out = acc.reshape(N_SAMPLES)
-    return out if spec.analytic else out.real + 0j
+    return out if spec.analytic else out.real.copy()
 
 
 def draw_sawtooth_spec(
@@ -195,13 +200,23 @@ def periods_per_frame(spec: WaveformSpec) -> float:
 
 @dataclass(frozen=True)
 class DatasetBundle:
-    """Train/val/test sample matrices plus the recipe that made them."""
+    """Train/val/test sample matrices plus the recipe that made them.
+
+    Each partition is an (n, 1024) matrix whose dtype follows the kind:
+    float64 for real-valued kinds, complex128 for analytic ones. A complex
+    partition given for a real-valued kind is stored as its real part, and
+    a nonzero imaginary part there is a ValueError (_observations).
+    """
 
     kind: DatasetKind
     seed: int
     train: np.ndarray  # (n_train, 1024)
     val: np.ndarray
     test: np.ndarray
+
+    def __post_init__(self):
+        for name in _PARTITION_STREAMS:
+            object.__setattr__(self, name, _observations(getattr(self, name), self.kind))
 
     def partition(self, name: str) -> np.ndarray:
         if name not in _PARTITION_STREAMS:
@@ -210,7 +225,7 @@ class DatasetBundle:
 
 
 def _gen_partition(kind, seed, stream, count, full_phase_range):
-    out = np.empty((count, N_SAMPLES), dtype=COMPLEX)
+    out = np.empty((count, N_SAMPLES), dtype=COMPLEX if kind.analytic else np.float64)
     for i in range(count):
         rng = make_rng(seed, stream, i)
         out[i] = synthesize(draw_spec(kind, rng, full_phase_range))
@@ -249,7 +264,9 @@ def bundles_equal(a: DatasetBundle, b: DatasetBundle) -> bool:
 # ---------------------------------------------------------------------------
 # magic "CVDS", version u8 = 1, kind u8, seed u64 LE, counts 3 x u32 LE,
 # then train/val/test observations as 1024 little-endian float64 (re, im)
-# pairs each, in complex_ops.BlockFormat's container. Specs are not stored:
+# pairs each, in complex_ops.BlockFormat's container. Real-valued kinds are
+# float64 blocks: written with im = +0.0 and read back as float64, so a
+# nonzero imaginary part in their file is a FormatError. Specs are not stored:
 # draw_spec(kind, make_rng(seed, stream, i)) regenerates observation i of
 # the partition with stream 0, 1 or 2.
 
@@ -267,7 +284,8 @@ def read_dataset(path) -> DatasetBundle:
     def layout(kind_tag, seed, *counts):
         if kind_tag not in kinds:
             raise FormatError(f"unknown dataset kind tag {kind_tag} at byte 5")
-        return [(name, (n, N_SAMPLES)) for name, n in zip(_PARTITION_STREAMS, counts)]
+        dtype = COMPLEX if kinds[kind_tag].analytic else np.float64
+        return [(name, (n, N_SAMPLES), dtype) for name, n in zip(_PARTITION_STREAMS, counts)]
 
     (kind_tag, seed, *_), parts = _FORMAT.read(path, layout)
     return DatasetBundle(kind=kinds[kind_tag], seed=seed, **parts)
@@ -290,9 +308,23 @@ def model_dims(kind: DatasetKind, field: str) -> tuple[int, int]:
     raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
 
 
-def _observations(samples: np.ndarray) -> np.ndarray:
-    """Samples as a complex (n, 1024) matrix; one observation may be 1-D."""
-    samples = np.asarray(samples, dtype=COMPLEX)
+def _observations(samples: np.ndarray, kind: DatasetKind) -> np.ndarray:
+    """Samples as an (n, 1024) matrix of the kind's dtype; one observation may be 1-D.
+
+    The one dtype rule: analytic kinds hold complex128, real-valued kinds
+    float64. A complex array for a real-valued kind is taken as its real
+    part, after checking that its imaginary part is exactly zero; float64
+    and complex128 input of the right dtype passes uncopied.
+    """
+    samples = np.asarray(samples)
+    if kind.analytic:
+        samples = samples.astype(COMPLEX, copy=False)
+    elif np.iscomplexobj(samples):
+        if np.any(samples.imag != 0):
+            raise ValueError(f"{kind.value} samples must have a zero imaginary part")
+        samples = np.ascontiguousarray(samples.real, dtype=np.float64)
+    else:
+        samples = samples.astype(np.float64, copy=False)
     if samples.ndim == 1:
         samples = samples[None, :]
     if samples.shape[1] != N_SAMPLES:
@@ -305,17 +337,16 @@ def _frame_view(
 ) -> np.ndarray:
     """Frame `index` of every observation, one per column, as the model sees it.
 
-    Real-valued kinds give float64 in both fields: their imaginary part is
-    exactly zero, so a complex model multiplies real frames (autodiff.matmul
-    then runs real GEMMs). order="C" returns a row-major array; the default
-    "K" keeps each observation's column contiguous.
+    Real-valued kinds give their float64 samples in both fields, so a
+    complex model multiplies real frames (autodiff.matmul then runs real
+    GEMMs); with the default order="K" that frame is a view of the
+    samples, each column contiguous at a 1024-element stride. order="C"
+    returns a row-major array.
     """
     if field not in ("complex", "real"):
         raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
-    frame = samples[:, index * FRAME_LEN : (index + 1) * FRAME_LEN].T  # (256, n) complex
-    if not kind.analytic:
-        return frame.real.astype(np.float64, order=order)
-    if field == "complex":
+    frame = samples[:, index * FRAME_LEN : (index + 1) * FRAME_LEN].T  # (256, n)
+    if not kind.analytic or field == "complex":
         return np.asarray(frame, order=order)
     out = np.empty((2 * FRAME_LEN, frame.shape[1])) if order == "C" else None
     return np.concatenate([frame.real, frame.imag], axis=0, out=out)
@@ -326,8 +357,8 @@ def build_views(
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Batch input/target matrices, one observation per column.
 
-    Real-valued kinds (sawtooth, inharmonic): the real part, (256, n), as
-    float64, for both fields; the imaginary part is exactly zero.
+    Real-valued kinds (sawtooth, inharmonic): the float64 frames, (256, n),
+    for both fields; the input frames are views of the samples.
     Analytic kinds, complex field: the complex frames, (256, n), complex128.
     Analytic kinds, real field: concatenated [re_0..re_255, im_0..im_255],
     (512, n), as float64.
@@ -338,7 +369,7 @@ def build_views(
     evaluation), so the finiteness of the data is checked here, once per
     call; the frames then enter the graph as unchecked constants.
     """
-    samples = ensure_finite(_observations(samples), "samples")
+    samples = ensure_finite(_observations(samples, kind), "samples")
     frames = [_frame_view(samples, i, kind, field) for i in range(N_FRAMES - 1)]
     return frames, _frame_view(samples, N_FRAMES - 1, kind, field, order="C")
 

@@ -75,7 +75,11 @@ def ctanh_values(z: np.ndarray) -> np.ndarray:
 
 
 def _ctanh_pair(z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, int]:
-    return 1.0 - t * t, 0
+    if np.ndim(t) == 0:  # 0-d input: numpy returns scalars, which take no out=
+        return 1.0 - t * t, 0
+    j = np.multiply(t, t)  # 1 - t^2 in one fresh buffer
+    np.subtract(1.0, j, out=j)
+    return j, 0
 
 
 def split_magnitude_values(z: np.ndarray) -> np.ndarray:

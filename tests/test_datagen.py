@@ -1,6 +1,7 @@
 """Waveform generators, frame handling, and the dataset file format."""
 
 import dataclasses
+import struct
 import tracemalloc
 
 import numpy as np
@@ -344,6 +345,52 @@ class TestBundleIO:
             tracemalloc.stop()
         assert peak < 1.5 * size, (peak, size)
 
+    @pytest.mark.parametrize("kind", list(dg.DatasetKind))
+    def test_file_holds_complex_pairs_for_every_kind(self, tmp_path, kind):
+        # The layout the file had when every kind was held as complex128:
+        # float64 samples are written as (re, +0.0) pairs.
+        bundle = dg.generate_bundle(kind, 41, 5, 3, 2)
+        path = tmp_path / "data.cvds"
+        dg.write_dataset(bundle, path)
+        header = b"CVDS" + struct.pack("<BBQIII", 1, list(dg.DatasetKind).index(kind), 41, 5, 3, 2)
+        body = b"".join(np.ascontiguousarray(bundle.partition(n), dtype="<c16").tobytes()
+                        for n in ("train", "val", "test"))
+        assert path.read_bytes() == header + body
+
+    @pytest.mark.parametrize("part, index", [("train", 5), ("train", 66000), ("test", 0)])
+    def test_nonzero_imaginary_part_in_a_real_kind_file(self, tmp_path, part, index):
+        # Blocks of a real-valued kind are read in chunks of 65536 pairs; the
+        # error names the imaginary part's byte, in any chunk of any block.
+        bundle = dg.generate_bundle(dg.DatasetKind.INHARMONIC, 42, 70, 1, 2)
+        path = tmp_path / "data.cvds"
+        dg.write_dataset(bundle, path)
+        start = 26 + 16 * dg.N_SAMPLES * {"train": 0, "test": 71}[part]
+        byte = start + 16 * index + 8
+        blob = bytearray(path.read_bytes())
+        blob[byte : byte + 8] = np.array([0.25]).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as exc:
+            dg.read_dataset(path)
+        assert str(exc.value) == f"nonzero imaginary part in dataset {part} at byte {byte}"
+
+    def test_real_kind_io_holds_no_complex_copy(self, tmp_path):
+        # Reading and writing a real-valued kind stage about 1 MiB of pairs
+        # at a time, never a complex128 copy (twice the float64 bytes).
+        parts = [make_rng(6, i).normal(size=(n, dg.N_SAMPLES)) for i, n in enumerate((1600, 200, 200))]
+        bundle = dg.DatasetBundle(dg.DatasetKind.SAWTOOTH, 6, *parts)
+        nbytes = sum(p.nbytes for p in parts)  # about 16.4 MB
+        path = tmp_path / "data.cvds"
+        peaks = []
+        for step in (lambda: dg.write_dataset(bundle, path), lambda: dg.read_dataset(path)):
+            tracemalloc.start()
+            try:
+                step()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[0] <= 0.1 * nbytes and peaks[1] <= 1.1 * nbytes, (peaks, nbytes)
+        assert dg.bundles_equal(dg.read_dataset(path), bundle)
+
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.cvds", tmp_path / "b.cvds"
         dg.write_dataset(self.small_bundle(), a)
@@ -364,6 +411,38 @@ class TestBundleIO:
         for i in range(3):
             spec = dg.draw_spec(bundle.kind, make_rng(bundle.seed, 1, i))
             np.testing.assert_allclose(dg.synthesize(spec), bundle.val[i], atol=0)
+
+
+class TestSampleDtype:
+    def test_dtype_follows_the_kind(self):
+        for kind in dg.DatasetKind:
+            bundle = dg.generate_bundle(kind, 39, 2, 1, 1)
+            want = np.complex128 if kind.analytic else np.float64
+            assert all(bundle.partition(n).dtype == want for n in ("train", "val", "test"))
+            spec = dg.draw_spec(kind, make_rng(39, 0, 0))
+            assert dg.synthesize(spec).dtype == want
+
+    def test_complex_samples_of_a_real_kind_are_taken_as_float64(self):
+        parts = [make_rng(40, i).normal(size=(3, dg.N_SAMPLES)) for i in range(3)]
+        bundle = dg.DatasetBundle(dg.DatasetKind.INHARMONIC, 40, *(p + 0j for p in parts))
+        for got, want in zip((bundle.train, bundle.val, bundle.test), parts):
+            assert got.dtype == np.float64 and got.flags.c_contiguous
+            assert got.tobytes() == want.tobytes()
+        frames, _ = dg.build_views(parts[0] + 0j, dg.DatasetKind.INHARMONIC, "complex")
+        assert frames[0].dtype == np.float64
+
+    def test_nonzero_imaginary_part_of_a_real_kind_is_value_error(self):
+        parts = [np.zeros((2, dg.N_SAMPLES), dtype=complex) for _ in range(3)]
+        parts[1][1, 7] = 1e-300j
+        with pytest.raises(ValueError, match="sawtooth samples must have a zero imaginary part"):
+            dg.DatasetBundle(dg.DatasetKind.SAWTOOTH, 1, *parts)
+        with pytest.raises(ValueError, match="zero imaginary part"):
+            dg.build_views(parts[1], dg.DatasetKind.SAWTOOTH, "real")
+
+    def test_analytic_kinds_widen_float_samples(self):
+        parts = [np.ones((2, dg.N_SAMPLES)) for _ in range(3)]
+        bundle = dg.DatasetBundle(dg.DatasetKind.SAWTOOTH_ANALYTIC, 1, *parts)
+        assert bundle.train.dtype == np.complex128
 
 
 class TestModelViews:
@@ -389,8 +468,21 @@ class TestModelViews:
             else:
                 assert got.dtype == np.float64 and np.all(frame.imag == 0)
                 np.testing.assert_array_equal(got, frame.real)
-        if not kind.analytic:
-            assert all(f.flags.f_contiguous for f in frames)  # one column per observation
+        if not kind.analytic:  # views of the samples, one contiguous column per observation
+            assert all(f.strides[0] == f.itemsize for f in frames)
+            assert all(np.shares_memory(f, bundle.train) for f in frames)
+
+    @pytest.mark.parametrize("kind", [dg.DatasetKind.SAWTOOTH, dg.DatasetKind.INHARMONIC])
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_real_kind_frames_are_views_of_float64_samples(self, kind, field):
+        bundle = dg.generate_bundle(kind, 38, 5, 2, 2)
+        frames, target = dg.build_views(bundle.train, kind, field)
+        for i, frame in enumerate(frames):
+            assert np.shares_memory(frame, bundle.train)
+            assert frame.strides == (8, 8 * dg.N_SAMPLES)
+            np.testing.assert_array_equal(frame, bundle.train[:, i * 256 : (i + 1) * 256].T)
+        assert target.flags.c_contiguous and not np.shares_memory(target, bundle.train)
+        np.testing.assert_array_equal(target, bundle.train[:, 768:].T)
 
     def test_complex_views(self):
         bundle = dg.generate_bundle(dg.DatasetKind.SAWTOOTH, 31, 4, 2, 2)

@@ -126,6 +126,23 @@ class TestComplexTanh:
         assert 1.6e16 <= mag[0] < 1.7e16
         assert 1.6e18 <= mag.max() < 1.7e18
 
+    @pytest.mark.parametrize("shape", [(), (3,), (64, 50), (128, 128), (256, 1000)])
+    def test_emission_is_the_plain_formula_bit_for_bit(self, shape):
+        # The pair builds 1 - t^2 in one buffer; the pair and the emitted
+        # gradient must give the plain expression's bits at every size,
+        # on either side of numpy's 256 KiB temporary-elision threshold
+        # (128 x 128 sits on it).
+        rng = make_rng(44)
+        z = sample_circular_gaussian(rng, shape, 1.0)
+        delta = sample_circular_gaussian(rng, shape, 1.0)
+        node = nn.ctanh(ad.Var(z))
+        t = node.value
+        (got,) = node.emit(None, delta)
+        want = delta * np.conj(1.0 - t * t)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        j, jc = nn._ctanh_pair(z, t)
+        assert np.asarray(j).tobytes() == np.asarray(1.0 - t * t).tobytes() and jc == 0
+
 
 class TestSplitMagnitude:
     def test_zero_maps_to_zero_with_pair_one_zero(self):
