@@ -3,8 +3,8 @@
 Complex-field parameters and the samples of analytic dataset kinds hold
 numpy complex128 arrays. Real-field models and the samples of real-valued
 kinds, and so their model-facing frames in both fields, hold float64
-(autodiff.promote(), datagen._observations()). Files store (re, im) pairs
-for both dtypes.
+(autodiff.promote(); as_real() is the one narrowing from complex to
+float64). Files store (re, im) pairs for both dtypes.
 numpy already does the arithmetic well, so this module only pins down
 the conventions the rest of the package relies on:
 finiteness is enforced at boundaries, shape mismatches raise a DimensionError
@@ -25,7 +25,7 @@ import numpy as np
 
 COMPLEX = np.complex128
 
-_CHUNK = 1 << 16  # (re, im) pairs staged per float64-block transfer: 1 MiB
+_CHUNK = 1 << 16  # (re, im) pairs staged per block transfer: 1 MiB
 
 
 class DimensionError(ValueError):
@@ -42,9 +42,9 @@ class BlockFormat:
 
     Blocks are little-endian float64 (re, im) pairs, back to back, with
     nothing after the last. A float64 block is stored as (re, +0.0) pairs
-    and read back as float64; both directions stage about 1 MiB at a time,
-    never a complex copy of the whole block. read() raises FormatError with
-    `what` and a byte offset, checking in file order: header, magic,
+    and read back as float64. Every block moves through one staging buffer
+    a megabyte at a time in both directions. read() raises FormatError
+    with `what` and a byte offset, checking in file order: header, magic,
     version, the caller's tags, each block's length, finiteness and (for a
     float64 block) zero imaginary parts, trailing bytes.
     """
@@ -56,17 +56,14 @@ class BlockFormat:
 
     def write(self, path, fields: Sequence, blocks: Iterable[np.ndarray]) -> None:
         """Header fields after the version, then each block in order."""
-        staging = np.zeros(_CHUNK, "<c16")  # imaginary parts stay +0.0
+        staging = np.empty(_CHUNK, "<c16")
         with open(path, "wb") as fh:
             fh.write(self.magic + struct.pack(self.header, self.version, *fields))
             for arr in blocks:
-                if arr.dtype != np.float64:
-                    fh.write(np.ascontiguousarray(arr, dtype="<c16"))
-                    continue
                 flat = arr.reshape(-1)
                 for lo in range(0, flat.size, _CHUNK):
                     pairs = staging[: min(_CHUNK, flat.size - lo)]
-                    pairs.real = flat[lo : lo + _CHUNK]
+                    pairs[...] = flat[lo : lo + _CHUNK]  # float64 x becomes (x, +0.0)
                     fh.write(pairs)
 
     def read(
@@ -95,16 +92,13 @@ class BlockFormat:
                 count = math.prod(shape)
                 if offset + 16 * count > size:
                     raise FormatError(f"{self.what} truncated in {name} at byte {size}")
-                if dtype == [np.float64]:
-                    arr = np.empty(count)
-                    for lo in range(0, count, _CHUNK):
-                        pairs = staging[: min(_CHUNK, count - lo)]
-                        fh.readinto(pairs)
-                        self._check(pairs, name, offset + 16 * lo, real=True)
-                        arr[lo : lo + pairs.size] = pairs.real
-                else:
-                    arr = np.fromfile(fh, "<c16", count).astype(COMPLEX, copy=False)
-                    self._check(arr, name, offset, real=False)
+                real = dtype == [np.float64]
+                arr = np.empty(count, np.float64 if real else COMPLEX)
+                for lo in range(0, count, _CHUNK):
+                    pairs = staging[: min(_CHUNK, count - lo)]
+                    fh.readinto(pairs)
+                    self._check(pairs, name, offset + 16 * lo, real)
+                    arr[lo : lo + pairs.size] = pairs.real if real else pairs
                 blocks[name] = arr.reshape(shape)
                 offset += 16 * count
         if offset != size:
@@ -123,6 +117,13 @@ class BlockFormat:
                     f"nonzero imaginary part in {self.what} {name} at byte {offset + 16 * i + 8}"
                 )
             raise FormatError(f"non-finite value in {self.what} {name} at byte {offset + 16 * i}")
+
+
+def as_real(arr, message: str) -> np.ndarray:
+    """C-contiguous float64 arr, or ValueError(message) if an imaginary part is not 0."""
+    if np.iscomplexobj(arr) and np.any(np.imag(arr) != 0):
+        raise ValueError(message)
+    return np.ascontiguousarray(np.real(arr), dtype=np.float64)
 
 
 def ensure_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:

@@ -41,7 +41,7 @@ from enum import Enum
 
 import numpy as np
 
-from .complex_ops import COMPLEX, BlockFormat, FormatError, ensure_finite, make_rng
+from .complex_ops import COMPLEX, BlockFormat, FormatError, as_real, ensure_finite, make_rng
 
 N_SAMPLES = 1024
 FRAME_LEN = 256
@@ -312,19 +312,14 @@ def _observations(samples: np.ndarray, kind: DatasetKind) -> np.ndarray:
     """Samples as an (n, 1024) matrix of the kind's dtype; one observation may be 1-D.
 
     The one dtype rule: analytic kinds hold complex128, real-valued kinds
-    float64. A complex array for a real-valued kind is taken as its real
-    part, after checking that its imaginary part is exactly zero; float64
-    and complex128 input of the right dtype passes uncopied.
+    C-contiguous float64 by complex_ops.as_real, the narrowing rule that
+    real-field models share: complex input must have an exactly zero
+    imaginary part. complex128 and C-contiguous float64 input pass uncopied.
     """
-    samples = np.asarray(samples)
     if kind.analytic:
-        samples = samples.astype(COMPLEX, copy=False)
-    elif np.iscomplexobj(samples):
-        if np.any(samples.imag != 0):
-            raise ValueError(f"{kind.value} samples must have a zero imaginary part")
-        samples = np.ascontiguousarray(samples.real, dtype=np.float64)
+        samples = np.asarray(samples, dtype=COMPLEX)
     else:
-        samples = samples.astype(np.float64, copy=False)
+        samples = as_real(samples, f"{kind.value} samples must have a zero imaginary part")
     if samples.ndim == 1:
         samples = samples[None, :]
     if samples.shape[1] != N_SAMPLES:

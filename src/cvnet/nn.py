@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .complex_ops import COMPLEX, BlockFormat, FormatError, make_rng, sample_circular_gaussian
+from .complex_ops import COMPLEX, BlockFormat, FormatError, as_real, make_rng, sample_circular_gaussian
 
 # ---------------------------------------------------------------------------
 # Activations
@@ -75,9 +75,7 @@ def ctanh_values(z: np.ndarray) -> np.ndarray:
 
 
 def _ctanh_pair(z: np.ndarray, t: np.ndarray) -> tuple[np.ndarray, int]:
-    if np.ndim(t) == 0:  # 0-d input: numpy returns scalars, which take no out=
-        return 1.0 - t * t, 0
-    j = np.multiply(t, t)  # 1 - t^2 in one fresh buffer
+    j = np.multiply(t, t, out=np.empty_like(t))  # 1 - t^2 in one fresh buffer, 0-d too
     np.subtract(1.0, j, out=j)
     return j, 0
 
@@ -185,7 +183,8 @@ class RecurrentModel:
     Biases are stored as column vectors so they broadcast over a batch of
     column observations. b_in and b_rec are mathematically redundant but
     both kept; the three-bias layout is what the parameter totals assume.
-    A real-field model stores its parameters as float64.
+    A real-field model stores its parameters as float64 by complex_ops.as_real,
+    the narrowing rule that real-valued dataset kinds share (datagen._observations).
     """
 
     field: str
@@ -204,9 +203,8 @@ class RecurrentModel:
             if self.activation is not ActivationKind.REAL_TANH:
                 raise ValueError("real-field models use the real-tanh activation")
             for name, arr in self.params().items():
-                if np.any(arr.imag != 0.0):
-                    raise ValueError(f"real-field model has nonzero imaginary part in {name}")
-                setattr(self, name, np.ascontiguousarray(arr.real, dtype=np.float64))
+                msg = f"real-field model has nonzero imaginary part in {name}"
+                setattr(self, name, as_real(arr, msg))
         elif self.activation is ActivationKind.REAL_TANH:
             raise ValueError("complex-field models do not use the real-tanh activation")
         h, d_in = self.w_in.shape

@@ -326,7 +326,7 @@ def random_search(
 
     Trials draw from independent substreams of the search seed, so results
     do not depend on execution order and jobs > 1 changes nothing but wall
-    time.
+    time. The pool has min(jobs, n_trials) workers; one runs in process.
     """
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
@@ -334,8 +334,9 @@ def random_search(
     work = [
         (data, field, hidden, space, seed, epochs, batch_size, t) for t in range(n_trials)
     ]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, n_trials)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_trial, work))
     else:
         results = [_run_trial(w) for w in work]

@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from cvnet import autodiff as ad
-from cvnet import datagen, nn
+from cvnet import datagen, nn, trainer
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 OPS = {"matmul", "ctanh", "add", "mse"}
@@ -44,3 +44,25 @@ def test_tracer_installs_restores_and_sees_the_ops():
     names = {span[2] for span in tracer.spans}
     assert {"nn.forward_loss", "autodiff.backward"} <= names
     assert {f"autodiff.emit.{op}" for op in OPS} <= names
+
+
+def test_train_spans_one_step_per_batch_and_one_validation_per_epoch():
+    # tracing.py marks a step from nn.param_vars under trainer.train to
+    # trainer.sgd_momentum_step, and layers.py reads nn.val_ms from the
+    # nn.forward_loss spans directly under trainer.train. A training step
+    # routed through forward_loss would break both.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    data = datagen.generate_bundle(datagen.DatasetKind.SAWTOOTH, 3, 4, 2, 2)
+    model = nn.init_model(256, 4, 256, field="complex", init_scale=0.5, seed=3)
+    config = trainer.TrainConfig(lr0=1e-3, half_life=10.0, init_scale=0.5, epochs=2,
+                                 batch_size=2)
+    with tracing.installed(tracer):
+        result = trainer.train(model, data, config)
+    assert result.status == "completed"
+
+    (train,) = [s for s in tracer.spans if s[2] == "trainer.train"]
+    steps = [s for s in tracer.spans if s[2] == "trainer.step"]
+    assert len(steps) == 2 * 2 and all(s[1] == train[0] for s in steps)
+    validations = [s for s in tracer.spans if s[2] == "nn.forward_loss"]
+    assert [s[1] for s in validations] == [train[0]] * 2

@@ -373,6 +373,22 @@ class TestBundleIO:
             dg.read_dataset(path)
         assert str(exc.value) == f"nonzero imaginary part in dataset {part} at byte {byte}"
 
+    @pytest.mark.parametrize("index", [5, 66000])
+    @pytest.mark.parametrize("kind", ["inharmonic", "inharmonic-analytic"])
+    def test_non_finite_pair_names_its_byte(self, tmp_path, kind, index):
+        # Every block is read in chunks of 65536 pairs, whatever its dtype;
+        # the error names the pair's byte in the first chunk and past it.
+        bundle = dg.generate_bundle(kind, 42, 70, 1, 2)
+        path = tmp_path / "data.cvds"
+        dg.write_dataset(bundle, path)
+        byte = 26 + 16 * index
+        blob = bytearray(path.read_bytes())
+        blob[byte : byte + 8] = np.array([np.nan]).tobytes()
+        path.write_bytes(bytes(blob))
+        with pytest.raises(FormatError) as exc:
+            dg.read_dataset(path)
+        assert str(exc.value) == f"non-finite value in dataset train at byte {byte}"
+
     def test_real_kind_io_holds_no_complex_copy(self, tmp_path):
         # Reading and writing a real-valued kind stage about 1 MiB of pairs
         # at a time, never a complex128 copy (twice the float64 bytes).

@@ -131,17 +131,20 @@ class TestComplexTanh:
         # The pair builds 1 - t^2 in one buffer; the pair and the emitted
         # gradient must give the plain expression's bits at every size,
         # on either side of numpy's 256 KiB temporary-elision threshold
-        # (128 x 128 sits on it).
+        # (128 x 128 sits on it). Float64 input, a real-field model's, takes
+        # the same path; at shape () np.tanh gives it a numpy scalar.
         rng = make_rng(44)
         z = sample_circular_gaussian(rng, shape, 1.0)
         delta = sample_circular_gaussian(rng, shape, 1.0)
-        node = nn.ctanh(ad.Var(z))
-        t = node.value
-        (got,) = node.emit(None, delta)
-        want = delta * np.conj(1.0 - t * t)
-        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
-        j, jc = nn._ctanh_pair(z, t)
-        assert np.asarray(j).tobytes() == np.asarray(1.0 - t * t).tobytes() and jc == 0
+        for z, delta in ((z, delta), (z.real.copy(), delta.real.copy())):
+            node = nn.ctanh(ad.Var(z))
+            t = node.value
+            (got,) = node.emit(None, delta)
+            want = delta * np.conj(1.0 - t * t)
+            assert np.asarray(got).dtype == z.dtype
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+            j, jc = nn._ctanh_pair(z, t)
+            assert np.asarray(j).tobytes() == np.asarray(1.0 - t * t).tobytes() and jc == 0
 
 
 class TestSplitMagnitude:

@@ -314,6 +314,32 @@ class TestRandomSearch:
             assert len(outputs[0]) == 4, field
             assert outputs[0] == outputs[1], field
 
+    @pytest.mark.parametrize("n_trials, jobs, workers", [(1, 2, []), (2, 3, [2]), (3, 2, [2])])
+    def test_pool_has_no_more_workers_than_trials(self, small_data, monkeypatch,
+                                                  n_trials, jobs, workers):
+        # A pool stand-in records its size and runs the trials in process.
+        seen = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                seen.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        kw = dict(field="complex", hidden=4, n_trials=n_trials, seed=7, epochs=1, batch_size=30)
+        want = trainer.random_search(small_data, **kw)
+        monkeypatch.setattr(trainer, "ProcessPoolExecutor", Pool)
+        got = trainer.random_search(small_data, jobs=jobs, **kw)
+        assert seen == workers
+        assert [(r.trial_id, r.best_val) for r in got] == [(r.trial_id, r.best_val) for r in want]
+
     def test_invalid_space_rejected(self):
         for bad in (dict(lr0=(0.0, 1.0)), dict(lr0=(1e-3, np.inf)),
                     dict(half_life=(10.0, np.nan)), dict(init_scale=(np.nan, 1.0))):
