@@ -228,14 +228,14 @@ def elementwise(x, name: str) -> Var:
     xv = _value(x)
     y = promote(op.fn(xv))
 
-    if op.holomorphic:
-        def rule(gamma, delta):
-            j, _ = op.pair(xv, y)
-            return delta * np.conj(j)
-    else:
-        def rule(gamma, delta):
-            j, jc = op.pair(xv, y)
-            return gamma * jc + delta * np.conj(j)
+    def rule(gamma, delta):
+        j, jc = op.pair(xv, y)
+        # delta * conj(j) in one buffer, in this operand order at every size:
+        # numpy's temporary elision would compute conj(j) * delta on large
+        # arrays, which rounds differently. A holomorphic op has jc = 0.
+        cj = np.conjugate(j, out=np.empty_like(j, dtype=np.result_type(delta, j)))
+        np.multiply(delta, cj, out=cj)
+        return cj if op.holomorphic else gamma * jc + cj
 
     return _node(y, name, (x,), (rule,), reads_gamma=not op.holomorphic)
 

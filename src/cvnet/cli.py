@@ -50,6 +50,17 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=SEED, default=0, help="deterministic seed (default 0)")
 
 
+def _add_training(p: argparse.ArgumentParser) -> None:
+    """The flags that train and search share."""
+    p.add_argument("--data", required=True)
+    p.add_argument("--field", required=True, choices=["complex", "real"])
+    p.add_argument("--hidden", type=POSITIVE, default=256)
+    p.add_argument("--epochs", type=int, default=1000)
+    p.add_argument("--batch-size", type=int, default=1000)
+    p.add_argument("--out", required=True)
+    _add_seed(p)
+
+
 def cmd_gen(args) -> int:
     bundle = datagen.generate_bundle(
         args.kind,
@@ -156,31 +167,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gen)
 
     p = sub.add_parser("train", help="train one model")
-    p.add_argument("--data", required=True)
-    p.add_argument("--field", required=True, choices=["complex", "real"])
-    p.add_argument("--hidden", type=POSITIVE, default=256)
-    p.add_argument("--epochs", type=int, default=1000)
+    _add_training(p)
     p.add_argument("--lr0", type=float, required=True)
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--half-life", type=float, required=True)
     p.add_argument("--init-scale", type=float, required=True)
-    p.add_argument("--batch-size", type=int, default=1000)
     p.add_argument("--clip", type=float, default=None,
                    help="optional global-norm gradient clip threshold (> 0)")
-    p.add_argument("--out", required=True)
-    _add_seed(p)
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("search", help="seeded random hyperparameter search")
-    p.add_argument("--data", required=True)
-    p.add_argument("--field", required=True, choices=["complex", "real"])
+    _add_training(p)
     p.add_argument("--trials", type=int, default=100)
     p.add_argument("--jobs", type=POSITIVE, default=1)
-    p.add_argument("--hidden", type=POSITIVE, default=256)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=1000)
-    p.add_argument("--out", required=True)
-    _add_seed(p)
     p.set_defaults(fn=cmd_search)
 
     p = sub.add_parser("eval", help="mean squared error of a checkpoint on a partition")

@@ -327,21 +327,18 @@ def _observations(samples: np.ndarray, kind: DatasetKind) -> np.ndarray:
     return samples
 
 
-def _frame_view(
-    samples: np.ndarray, index: int, kind: DatasetKind, field: str, order: str = "K"
-) -> np.ndarray:
+def _frame_view(samples: np.ndarray, index: int, split: bool, order: str = "K") -> np.ndarray:
     """Frame `index` of every observation, one per column, as the model sees it.
 
-    Real-valued kinds give their float64 samples in both fields, so a
-    complex model multiplies real frames (autodiff.matmul then runs real
-    GEMMs); with the default order="K" that frame is a view of the
-    samples, each column contiguous at a 1024-element stride. order="C"
+    split stacks the real and imaginary parts. Otherwise the frame keeps
+    the samples' dtype: real-valued kinds give float64 frames in both
+    fields, so a complex model multiplies real frames (autodiff.matmul then
+    runs real GEMMs); with the default order="K" that frame is a view of
+    the samples, each column contiguous at a 1024-element stride. order="C"
     returns a row-major array.
     """
-    if field not in ("complex", "real"):
-        raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
     frame = samples[:, index * FRAME_LEN : (index + 1) * FRAME_LEN].T  # (256, n)
-    if not kind.analytic or field == "complex":
+    if not split:
         return np.asarray(frame, order=order)
     out = np.empty((2 * FRAME_LEN, frame.shape[1])) if order == "C" else None
     return np.concatenate([frame.real, frame.imag], axis=0, out=out)
@@ -365,6 +362,7 @@ def build_views(
     call; the frames then enter the graph as unchecked constants.
     """
     samples = ensure_finite(_observations(samples, kind), "samples")
-    frames = [_frame_view(samples, i, kind, field) for i in range(N_FRAMES - 1)]
-    return frames, _frame_view(samples, N_FRAMES - 1, kind, field, order="C")
+    split = model_dims(kind, field)[0] == 2 * FRAME_LEN
+    frames = [_frame_view(samples, i, split) for i in range(N_FRAMES - 1)]
+    return frames, _frame_view(samples, N_FRAMES - 1, split, order="C")
 

@@ -108,8 +108,7 @@ def _draw_dense(rng, k):
     return params, build
 
 
-_TINY_SHAPES = {"w_in": (3, 4), "b_in": (3, 1), "w_rec": (3, 3), "b_rec": (3, 1),
-                "w_out": (4, 3), "b_out": (4, 1)}  # hidden 3, frame width 4
+_TINY_SHAPES = nn.param_shapes(4, 3, 4)  # frame width 4, hidden 3
 
 
 def _tiny_model(rng, field: str, activation: nn.ActivationKind) -> nn.RecurrentModel:

@@ -165,6 +165,13 @@ def mse_loss(pred: ad.Var, target: np.ndarray, field: str = "complex") -> ad.Var
 
 PARAM_ORDER = ("w_in", "b_in", "w_rec", "b_rec", "w_out", "b_out")
 
+
+def param_shapes(d_in: int, hidden: int, d_out: int) -> dict[str, tuple[int, int]]:
+    """The six parameter shapes in PARAM_ORDER; biases are column vectors."""
+    return {"w_in": (hidden, d_in), "b_in": (hidden, 1), "w_rec": (hidden, hidden),
+            "b_rec": (hidden, 1), "w_out": (d_out, hidden), "b_out": (d_out, 1)}
+
+
 _FIELD_TAGS = {"complex": 0, "real": 1}
 _ACTIVATION_TAGS = {
     ActivationKind.COMPLEX_TANH: 0,
@@ -208,14 +215,10 @@ class RecurrentModel:
         elif self.activation is ActivationKind.REAL_TANH:
             raise ValueError("complex-field models do not use the real-tanh activation")
         h, d_in = self.w_in.shape
-        if self.w_rec.shape != (h, h):
-            raise ValueError(f"w_rec shape {self.w_rec.shape} does not match hidden size {h}")
-        if self.w_out.shape[1] != h:
-            raise ValueError(f"w_out shape {self.w_out.shape} does not match hidden size {h}")
-        if self.b_in.shape != (h, 1) or self.b_rec.shape != (h, 1):
-            raise ValueError("hidden biases must be column vectors of the hidden size")
-        if self.b_out.shape != (self.w_out.shape[0], 1):
-            raise ValueError("output bias must be a column vector of the output size")
+        expected = param_shapes(d_in, h, self.w_out.shape[0])
+        for name, arr in self.params().items():
+            if arr.shape != expected[name]:
+                raise ValueError(f"{name} shape {arr.shape}, expected {expected[name]}")
 
     @property
     def d_in(self) -> int:
@@ -262,22 +265,16 @@ def init_model(
     rng = make_rng(seed, 11)
     dtype = COMPLEX if field == "complex" else np.float64
 
-    def draw(shape, fan_in):
-        sigma = init_scale / np.sqrt(fan_in)
+    def draw(name, shape):
+        if name.startswith("b_"):
+            return np.zeros(shape, dtype=dtype)
+        sigma = init_scale / np.sqrt(shape[1])  # fan_in
         if field == "complex":
             return sample_circular_gaussian(rng, shape, sigma)
         return rng.normal(0.0, sigma, shape)
 
-    return RecurrentModel(
-        field=field,
-        activation=activation,
-        w_in=draw((hidden, d_in), d_in),
-        b_in=np.zeros((hidden, 1), dtype=dtype),
-        w_rec=draw((hidden, hidden), hidden),
-        b_rec=np.zeros((hidden, 1), dtype=dtype),
-        w_out=draw((d_out, hidden), hidden),
-        b_out=np.zeros((d_out, 1), dtype=dtype),
-    )
+    shapes = param_shapes(d_in, hidden, d_out)
+    return RecurrentModel(field, activation, **{n: draw(n, s) for n, s in shapes.items()})
 
 
 def param_vars(model: RecurrentModel) -> dict[str, ad.Var]:
@@ -351,8 +348,7 @@ def load_model(path) -> RecurrentModel:
             raise FormatError(f"unknown field tag {field_tag} at byte 5")
         if act_tag not in acts:
             raise FormatError(f"unknown activation tag {act_tag} at byte 18")
-        return [("w_in", (hidden, d_in)), ("b_in", (hidden, 1)), ("w_rec", (hidden, hidden)),
-                ("b_rec", (hidden, 1)), ("w_out", (d_out, hidden)), ("b_out", (d_out, 1))]
+        return list(param_shapes(d_in, hidden, d_out).items())
 
     (field_tag, *_, act_tag), arrays = _FORMAT.read(path, layout)
     try:

@@ -170,8 +170,7 @@ def zero_baseline_mse(samples: np.ndarray, kind: datagen.DatasetKind, field: str
     """
     _check_nonempty(samples, "the baseline partition")
     target = datagen.build_views(samples, kind, field)[1]
-    n_dof = nn.dof_multiplier(field) * target.size
-    return float(squared_norm(target) / n_dof)
+    return float(nn.mse_loss(np.zeros_like(target), target, field).value)
 
 
 def train(

@@ -66,3 +66,21 @@ def test_train_spans_one_step_per_batch_and_one_validation_per_epoch():
     assert len(steps) == 2 * 2 and all(s[1] == train[0] for s in steps)
     validations = [s for s in tracer.spans if s[2] == "nn.forward_loss"]
     assert [s[1] for s in validations] == [train[0]] * 2
+
+
+def test_search_spans_its_trials_and_their_training():
+    # tracing.py calls random_search with its positional signature and wraps
+    # _run_trial(args); a change to either would only show in a traced run.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    data = datagen.generate_bundle(datagen.DatasetKind.SAWTOOTH, 3, 4, 2, 2)
+    with tracing.installed(tracer):
+        results = trainer.random_search(data, "complex", 4, 2, 7, 1, 2, jobs=1)
+    assert len(results) == 2
+
+    (search,) = [s for s in tracer.spans if s[2] == "trainer.random_search"]
+    assert search[7]["trials"] == 2 and search[7]["jobs"] == 1
+    trials = [s for s in tracer.spans if s[2] == "trainer.trial"]
+    assert len(trials) == 2 and all(s[1] == search[0] for s in trials)
+    trains = [s for s in tracer.spans if s[2] == "trainer.train"]
+    assert sorted(s[1] for s in trains) == sorted(s[0] for s in trials)

@@ -183,6 +183,8 @@ class TestUsageErrors:
          "cvnet train: error: argument --seed: must be >= 0 and < 2**64, got -1"),
         (TRAIN + ["--data", "DATA", "--hidden", "0"],
          "cvnet train: error: argument --hidden: must be >= 1, got 0"),
+        (SEARCH + ["--data", "DATA", "--hidden", "0"],
+         "cvnet search: error: argument --hidden: must be >= 1, got 0"),
         (SEARCH + ["--data", "DATA", "--seed", "-1"],
          "cvnet search: error: argument --seed: must be >= 0 and < 2**64, got -1"),
         (SEARCH + ["--data", "DATA", "--jobs", "0"],
@@ -216,7 +218,7 @@ class TestUsageErrors:
     ], ids=["train-clip", "search-trials", "search-short-data", "gen-seed-negative",
             "gen-seed-too-large", "gen-seed-not-int", "gen-train-negative",
             "gen-test-negative", "train-seed-negative", "train-hidden-zero",
-            "search-seed-negative", "search-jobs-zero", "filters-rows-zero",
+            "search-hidden-zero", "search-seed-negative", "search-jobs-zero", "filters-rows-zero",
             "train-empty-train", "train-empty-val", "eval-empty-partition",
             "filters-rows-too-many", "eval-missing-model", "gen-missing-out-dir",
             "eval-nan-checkpoint", "filters-nan-checkpoint", "search-inf-sample",

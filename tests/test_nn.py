@@ -1,5 +1,6 @@
 """Activations, loss, the recurrent models, and the checkpoint format."""
 
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -131,7 +132,9 @@ class TestComplexTanh:
         # The pair builds 1 - t^2 in one buffer; the pair and the emitted
         # gradient must give the plain expression's bits at every size,
         # on either side of numpy's 256 KiB temporary-elision threshold
-        # (128 x 128 sits on it). Float64 input, a real-field model's, takes
+        # (128 x 128 sits on it). The reference names the conjugate, so
+        # elision cannot turn delta * conj(j) into conj(j) * delta, which
+        # rounds differently. Float64 input, a real-field model's, takes
         # the same path; at shape () np.tanh gives it a numpy scalar.
         rng = make_rng(44)
         z = sample_circular_gaussian(rng, shape, 1.0)
@@ -140,7 +143,8 @@ class TestComplexTanh:
             node = nn.ctanh(ad.Var(z))
             t = node.value
             (got,) = node.emit(None, delta)
-            want = delta * np.conj(1.0 - t * t)
+            cj = np.conj(1.0 - t * t)
+            want = delta * cj
             assert np.asarray(got).dtype == z.dtype
             assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
             j, jc = nn._ctanh_pair(z, t)
@@ -329,6 +333,28 @@ class TestRecurrentModel:
         m = nn.init_model(64, 64, 64, field="complex", init_scale=2.0, seed=7)
         power = np.mean(np.abs(m.w_in) ** 2) * 64  # fan_in normalization
         assert power == pytest.approx(4.0, rel=0.2)
+
+    @pytest.mark.parametrize("name, shape", [
+        ("w_rec", (3, 2)), ("b_in", (2, 1)), ("b_rec", (3, 2)), ("w_out", (4, 2)),
+        ("b_out", (1, 4)),
+    ])
+    def test_wrong_shape_names_the_parameter(self, name, shape):
+        expected = nn.param_shapes(4, 3, 4)
+        params = {n: np.zeros(s, dtype=complex) for n, s in expected.items()}
+        params[name] = np.zeros(shape, dtype=complex)
+        message = f"{name} shape {shape}, expected {expected[name]}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            nn.RecurrentModel("complex", nn.ActivationKind.COMPLEX_TANH, **params)
+
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    @pytest.mark.parametrize("dims", [(5, 3, 7), (1, 1, 2)])
+    def test_init_model_builds_param_shapes(self, field, dims):
+        # At d_in = hidden = 1 every weight is a column too; only the biases start at zero.
+        m = nn.init_model(*dims, field=field, seed=8)
+        assert {n: a.shape for n, a in m.params().items()} == nn.param_shapes(*dims)
+        assert list(nn.param_shapes(*dims)) == list(nn.PARAM_ORDER)
+        for name, arr in m.params().items():
+            assert np.any(arr != 0) == name.startswith("w_"), name
 
 
 def _tiny_loss_graph(model, seed):
