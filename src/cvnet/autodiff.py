@@ -326,10 +326,11 @@ def _nonfinite_origin(order: list[Var], root: Var, seed: float) -> str:
 
 
 def backward(root: Var, seed: float = 1.0) -> dict[Var, np.ndarray]:
-    """Fill .grad with dL/d(conj z) for every node; return the store.
+    """Fill .grad with dL/d(conj z) for every node; return {node: node.grad}.
 
-    The store maps each node (by identity) to its conjugate cogradient;
-    the plain cogradient dL/dz is its conjugate since the loss is real.
+    One map, pending, holds the cogradients still accumulating, seeded with
+    the root's seed; each node's entry is popped into .grad once, in reverse
+    topological order. dL/dz is .grad's conjugate since the loss is real.
     gamma = conj(delta) is computed only for nodes whose rules read it
     (non-holomorphic elementwise ops and real-root ops). Finiteness is
     checked once, on the leaf cogradients after the pass: every rule is
@@ -339,25 +340,18 @@ def backward(root: Var, seed: float = 1.0) -> dict[Var, np.ndarray]:
     """
     _check_real_root(root)
     order = _toposort(root)
-    deltas: dict[int, np.ndarray] = {}
-    store: dict[Var, np.ndarray] = {}
+    # A non-root node is a parent of one handled before it: its entry exists.
+    pending = {id(root): np.asarray(seed, dtype=root.value.dtype).copy()}
     for node in reversed(order):
-        if node is root:
-            node.grad = np.asarray(seed, dtype=node.value.dtype).copy()  # seed, by convention
-        else:
-            delta = deltas.pop(id(node), None)
-            if delta is None:
-                delta = np.zeros(node.value.shape, dtype=node.value.dtype)
-            node.grad = delta
-        store[node] = node.grad
+        node.grad = pending.pop(id(node))
         if node.emit is None:
             continue
         for parent, c in zip(node.parents, node.emit(*_channels(node, root, seed))):
-            prev = deltas.get(id(parent))
-            deltas[id(parent)] = c if prev is None else prev + c
+            prev = pending.get(id(parent))
+            pending[id(parent)] = c if prev is None else prev + c
     if not all(np.all(np.isfinite(n.grad)) for n in order if n.emit is None):
         raise NumericError(_nonfinite_origin(order, root, seed))
-    return store
+    return {node: node.grad for node in order}
 
 
 # ---------------------------------------------------------------------------

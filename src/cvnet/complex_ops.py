@@ -41,12 +41,12 @@ class BlockFormat:
     """Magic, a struct header whose first field is the version, then blocks.
 
     Blocks are little-endian float64 (re, im) pairs, back to back, with
-    nothing after the last. A float64 block is stored as (re, +0.0) pairs
-    and read back as float64. Every block moves through one staging buffer
-    a megabyte at a time in both directions. read() raises FormatError
-    with `what` and a byte offset, checking in file order: header, magic,
-    version, the caller's tags, each block's length, finiteness and (for a
-    float64 block) zero imaginary parts, trailing bytes.
+    nothing after the last. Every layout entry is (name, shape, dtype); a
+    float64 block is stored as (re, +0.0) pairs. Every block moves through
+    one staging buffer a megabyte at a time in both directions. read()
+    raises FormatError with `what` and a byte offset, checking in file
+    order: header, magic, version, the caller's tags, each block's length,
+    finiteness and (for a float64 block) zero imaginary parts, trailing bytes.
     """
 
     what: str  # noun for error messages, e.g. "dataset"
@@ -71,8 +71,8 @@ class BlockFormat:
     ) -> tuple[tuple, dict[str, np.ndarray]]:
         """(header fields after the version, {block name: array}).
 
-        layout(*fields) checks the tags and gives each block's (name, shape)
-        for a complex128 block or (name, shape, np.float64) for a float64 one.
+        layout(*fields) checks the tags and gives each block's
+        (name, shape, dtype), dtype being COMPLEX or np.float64.
         """
         start = len(self.magic)
         offset = start + struct.calcsize(self.header)
@@ -88,12 +88,12 @@ class BlockFormat:
             if version != self.version:
                 raise FormatError(f"unsupported {self.what} version {version} at byte {start}")
             blocks = {}
-            for name, shape, *dtype in layout(*fields):
+            for name, shape, dtype in layout(*fields):
                 count = math.prod(shape)
                 if offset + 16 * count > size:
                     raise FormatError(f"{self.what} truncated in {name} at byte {size}")
-                real = dtype == [np.float64]
-                arr = np.empty(count, np.float64 if real else COMPLEX)
+                arr = np.empty(count, dtype)
+                real = arr.dtype == np.float64
                 for lo in range(0, count, _CHUNK):
                     pairs = staging[: min(_CHUNK, count - lo)]
                     fh.readinto(pairs)

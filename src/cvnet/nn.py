@@ -149,11 +149,13 @@ def dof_multiplier(field: str) -> int:
     raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
 
 
-def mse_loss(pred: ad.Var, target: np.ndarray, field: str = "complex") -> ad.Var:
-    """Mean squared error per real degree of freedom.
+def mse_loss(pred: ad.Var, target: np.ndarray, field: str) -> ad.Var:
+    """Mean squared error per real degree of freedom of the model's field.
 
     Normalizing by real DOF (a complex element counts twice) makes errors
     of complex models and of real models on split re/im data comparable.
+    The field, not the prediction's dtype, gives the DOF: gradcheck probes
+    real models at complex points.
     """
     t = ad.promote(target)
     return ad.mse(pred, t, dof_multiplier(field) * t.size)
@@ -190,8 +192,9 @@ class RecurrentModel:
     Biases are stored as column vectors so they broadcast over a batch of
     column observations. b_in and b_rec are mathematically redundant but
     both kept; the three-bias layout is what the parameter totals assume.
-    A real-field model stores its parameters as float64 by complex_ops.as_real,
-    the narrowing rule that real-valued dataset kinds share (datagen._observations).
+    Every parameter is held in its field's dtype: complex128 (float64 weights
+    widen exactly) or float64 by complex_ops.as_real, the narrowing rule that
+    real-valued dataset kinds share (datagen._observations).
     """
 
     field: str
@@ -209,11 +212,11 @@ class RecurrentModel:
         if self.field == "real":
             if self.activation is not ActivationKind.REAL_TANH:
                 raise ValueError("real-field models use the real-tanh activation")
-            for name, arr in self.params().items():
-                msg = f"real-field model has nonzero imaginary part in {name}"
-                setattr(self, name, as_real(arr, msg))
         elif self.activation is ActivationKind.REAL_TANH:
             raise ValueError("complex-field models do not use the real-tanh activation")
+        for name, arr in self.params().items():
+            setattr(self, name, np.asarray(arr, COMPLEX) if self.field == "complex" else
+                    as_real(arr, f"real-field model has nonzero imaginary part in {name}"))
         h, d_in = self.w_in.shape
         expected = param_shapes(d_in, h, self.w_out.shape[0])
         for name, arr in self.params().items():
@@ -328,7 +331,7 @@ def forward_loss(
 # magic "CVNN", version u8, field u8, d_in/hidden/d_out u32 LE, activation u8,
 # then parameters in PARAM_ORDER as little-endian float64 (re, im) pairs,
 # in complex_ops.BlockFormat's container; float64 parameters of real-field
-# models are written with im = 0.
+# models are written with im = 0 and read back as float64.
 
 _FORMAT = BlockFormat("checkpoint", b"CVNN", "<BBIIIB", 1)
 
@@ -348,7 +351,8 @@ def load_model(path) -> RecurrentModel:
             raise FormatError(f"unknown field tag {field_tag} at byte 5")
         if act_tag not in acts:
             raise FormatError(f"unknown activation tag {act_tag} at byte 18")
-        return list(param_shapes(d_in, hidden, d_out).items())
+        dtype = np.float64 if fields[field_tag] == "real" else COMPLEX
+        return [(name, shape, dtype) for name, shape in param_shapes(d_in, hidden, d_out).items()]
 
     (field_tag, *_, act_tag), arrays = _FORMAT.read(path, layout)
     try:

@@ -226,8 +226,8 @@ def train(
                         model.params(), grads, velocity, lr, config.momentum, config.clip
                     )
                     loss_sum += float(loss.value.real)
-                val_loss, _ = nn.forward_loss(model, val_frames, val_target)
-                val_mse = float(val_loss.value.real)
+                    del pred, loss  # the step's graph goes before the next one is built
+                val_mse = float(nn.forward_loss(model, val_frames, val_target)[0].value.real)
             if not np.isfinite(val_mse):
                 raise ad.NumericError("non-finite validation loss")
         except ad.NumericError:

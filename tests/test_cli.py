@@ -211,8 +211,7 @@ class TestUsageErrors:
         (SEARCH + ["--data", "INFDATA", "--hidden", "4", "--trials", "1"],
          f"cvnet search: error: non-finite value in dataset train at byte {26 + 16 * 1029}"),
         (FILTERS + ["--model", "REALTAG"],
-         "cvnet filters: error: inconsistent checkpoint: "
-         "real-field model has nonzero imaginary part in w_in"),
+         "cvnet filters: error: nonzero imaginary part in checkpoint w_in at byte 27"),
         (TRAIN + ["--data", "DATA", "--hidden", "4", "--init-scale", "nan"],
          "cvnet train: error: init_scale must be finite, got nan"),
     ], ids=["train-clip", "search-trials", "search-short-data", "gen-seed-negative",

@@ -141,7 +141,7 @@ class TestBlockFormat:
     def layout(tag):
         if tag != 1:
             raise co.FormatError(f"unknown thing tag {tag} at byte 5")
-        return [("a", (2, 3)), ("b", (1,))]
+        return [("a", (2, 3), co.COMPLEX), ("b", (1,), co.COMPLEX)]
 
     def written(self, tmp_path):
         path = tmp_path / "x.thng"

@@ -217,6 +217,11 @@ class TestMseLoss:
         loss = nn.mse_loss(ad.Var(np.array([3.0 + 0j])), np.array([0j]), "real")
         assert loss.value.real == pytest.approx(9.0, abs=1e-15)
 
+    def test_field_is_required(self):
+        # A default field would silently count a float64 prediction twice.
+        with pytest.raises(TypeError):
+            nn.mse_loss(np.array([3.0]), np.array([0.0]))
+
     def test_gradient_matches_oracle(self):
         rng = make_rng(76)
         p = sample_circular_gaussian(rng, 5, 1.0)
@@ -564,20 +569,31 @@ class TestCheckpoint:
         with pytest.raises(FormatError, match="truncated"):
             nn.load_model(p)
 
-    @pytest.mark.parametrize("byte, value, message", [
-        (5, 1, "real-field models use the real-tanh activation"),
-        (18, 3, "complex-field models do not use the real-tanh activation"),
+    @pytest.mark.parametrize("field, act_tag, message", [
+        ("real", 0, "real-field models use the real-tanh activation"),
+        ("complex", 3, "complex-field models do not use the real-tanh activation"),
     ], ids=["real-field-complex-tanh", "complex-field-real-tanh"])
-    def test_contradictory_tags_are_format_error(self, tmp_path, byte, value, message):
-        # Byte 5 is the field tag, byte 18 the activation tag; real-tanh is
-        # the activation of real-field models and of no other.
+    def test_contradictory_tags_are_format_error(self, tmp_path, field, act_tag, message):
+        # Byte 18 is the activation tag; real-tanh is the activation of
+        # real-field models and of no other.
         p = tmp_path / "m.cvnn"
-        nn.save_model(nn.init_model(4, 3, 4, field="complex", seed=9), p)
+        nn.save_model(nn.init_model(4, 3, 4, field=field, seed=9), p)
         blob = bytearray(p.read_bytes())
-        blob[byte] = value
+        blob[18] = act_tag
         p.write_bytes(bytes(blob))
         with pytest.raises(FormatError, match=f"^inconsistent checkpoint: {message}$"):
             nn.load_model(p)
+
+    def test_complex_field_holds_complex128_through_a_roundtrip(self, tmp_path):
+        # float64 weights in a complex field widen exactly, once, at construction.
+        arrays = nn.init_model(4, 3, 4, field="real", seed=19).params()
+        m = nn.RecurrentModel(field="complex", activation=nn.ActivationKind.COMPLEX_TANH,
+                              **arrays)
+        loaded, _ = self.roundtrip(m, tmp_path)
+        for model in (m, loaded):
+            for name, arr in model.params().items():
+                assert arr.dtype == np.complex128, name
+                np.testing.assert_array_equal(arr, arrays[name])
 
     def test_real_models_store_zero_imag_pairs(self, tmp_path):
         m = nn.init_model(8, 3, 8, field="real", init_scale=1.0, seed=10)

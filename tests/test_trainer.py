@@ -1,6 +1,7 @@
 """Schedule, optimizer, training loop, random search, and CSV exports."""
 
 import dataclasses
+import weakref
 
 import numpy as np
 import pytest
@@ -206,6 +207,29 @@ class TestTrain:
         assert seen == {np.dtype(np.float64)}
         for arr in list(model.params().values()) + list(result.model.params().values()):
             assert arr.dtype == np.float64
+
+    def test_no_graph_outlives_its_step(self, small_data, monkeypatch):
+        # Each prediction (a training step's or a validation pass's) must be
+        # freed, with its whole graph, before the next graph is built.
+        preds = []
+        mse, param_vars = ad.mse, nn.param_vars
+
+        def recording_mse(pred, *args):
+            preds.append(weakref.ref(pred.value))
+            return mse(pred, *args)
+
+        def checking_param_vars(model):
+            alive = sum(ref() is not None for ref in preds)
+            assert alive == 0, f"{alive} earlier predictions still alive"
+            return param_vars(model)
+
+        monkeypatch.setattr(ad, "mse", recording_mse)
+        monkeypatch.setattr(nn, "param_vars", checking_param_vars)
+        cfg = trainer.TrainConfig(lr0=1e-3, half_life=20.0, init_scale=0.4,
+                                  epochs=2, batch_size=30)
+        model = nn.init_model(256, 8, 256, field="complex", init_scale=0.4, seed=5)
+        assert trainer.train(model, small_data, cfg).status == "completed"
+        assert len(preds) == 6  # 2 epochs x (2 steps + 1 validation pass)
 
     def test_divergence_keeps_partial_history(self, small_data):
         cfg = trainer.TrainConfig(lr0=1e6, half_life=1000.0, init_scale=1.0,
