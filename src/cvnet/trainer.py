@@ -287,8 +287,19 @@ def sample_config(
     )
 
 
+# The running search's dataset: set once per process, by the pool's
+# initializer in a worker and by random_search itself when it runs in process.
+_search_data: datagen.DatasetBundle | None = None
+
+
+def _hold_search_data(data: datagen.DatasetBundle | None) -> None:
+    global _search_data
+    _search_data = data
+
+
 def _run_trial(args) -> TrialResult:
-    data, fld, hidden, space, seed, epochs, batch_size, trial_id = args
+    fld, hidden, space, seed, epochs, batch_size, trial_id = args
+    data = _search_data
     rng = make_rng(seed, trial_id)
     trial_seed = int(rng.integers(0, 2**63))
     config = sample_config(space, rng, epochs, batch_size)
@@ -326,19 +337,27 @@ def random_search(
     Trials draw from independent substreams of the search seed, so results
     do not depend on execution order and jobs > 1 changes nothing but wall
     time. The pool has min(jobs, n_trials) workers; one runs in process.
+    The pool's initializer gives each worker the dataset once (under fork
+    it inherits the parent's pages and nothing is pickled), so a work item
+    carries only its trial's settings. The dataset is held in one
+    module-level slot, so a process runs one search at a time; the slot is
+    cleared when the search returns or raises.
     """
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     space = space or SearchSpace()
-    work = [
-        (data, field, hidden, space, seed, epochs, batch_size, t) for t in range(n_trials)
-    ]
+    work = [(field, hidden, space, seed, epochs, batch_size, t) for t in range(n_trials)]
     workers = min(jobs, n_trials)
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_run_trial, work))
-    else:
-        results = [_run_trial(w) for w in work]
+    try:
+        if workers > 1:
+            with ProcessPoolExecutor(max_workers=workers, initializer=_hold_search_data,
+                                     initargs=(data,)) as pool:
+                results = list(pool.map(_run_trial, work))
+        else:
+            _hold_search_data(data)
+            results = [_run_trial(w) for w in work]
+    finally:
+        _hold_search_data(None)
     return rank_results(results)
 
 

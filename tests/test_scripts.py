@@ -15,14 +15,18 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 SCRIPT = ROOT / "scripts" / "run_protocol.py"
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _env():
+    src = str(Path(cvnet.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
 
 
 def _run_protocol(*args):
-    src = str(Path(cvnet.__file__).resolve().parents[1])
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     return subprocess.run([sys.executable, str(SCRIPT), *map(str, args)],
-                          env=env, capture_output=True, text=True, timeout=300)
+                          env=_env(), capture_output=True, text=True, timeout=300)
 
 
 TINY = ["--train", 20, "--val", 10, "--test", 10, "--hidden", 4, "--epochs", 2, "--trials", 2,
@@ -54,7 +58,24 @@ def test_protocol_output_layout(tmp_path, protocol, kinds):
     assert proc.stdout.count("baseline=") == proc.stdout.count("test_mse=") == 2 * len(kinds)
 
 
-def test_protocol_table_holds_the_paper_and_desk_protocols():
+@pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "caller-set"])
+def test_protocol_pins_blas_to_one_thread_unless_the_caller_set_it(preset):
+    env = {k: v for k, v in _env().items() if k not in BLAS_VARS}
+    if preset:
+        env.update(dict.fromkeys(BLAS_VARS, preset))
+    code = (f"import os, runpy; runpy.run_path({str(SCRIPT)!r}); "
+            f"print(*(os.environ[v] for v in {BLAS_VARS!r}))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [preset or "1"] * len(BLAS_VARS)
+
+
+def test_protocol_table_holds_the_paper_and_desk_protocols(monkeypatch):
+    # The script runs in process here; set through monkeypatch, its BLAS
+    # variables are restored afterwards instead of leaking into later tests.
+    for var in BLAS_VARS:
+        monkeypatch.setenv(var, os.environ.get(var, "1"))
     protocols = runpy.run_path(str(SCRIPT))["PROTOCOLS"]
     assert protocols["full"] == dict(
         seed=1, kinds=["sawtooth", "sawtooth-analytic", "inharmonic", "inharmonic-analytic"],

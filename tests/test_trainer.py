@@ -1,6 +1,8 @@
 """Schedule, optimizer, training loop, random search, and CSV exports."""
 
 import dataclasses
+import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -338,15 +340,16 @@ class TestRandomSearch:
             assert len(outputs[0]) == 4, field
             assert outputs[0] == outputs[1], field
 
-    @pytest.mark.parametrize("n_trials, jobs, workers", [(1, 2, []), (2, 3, [2]), (3, 2, [2])])
-    def test_pool_has_no_more_workers_than_trials(self, small_data, monkeypatch,
-                                                  n_trials, jobs, workers):
-        # A pool stand-in records its size and runs the trials in process.
-        seen = []
+    @pytest.fixture
+    def pool(self, monkeypatch):
+        """A pool stand-in: it records its size and each work item's pickled
+        bytes, and runs its initializer and the unpickled items in process."""
+        seen = {"workers": [], "item_bytes": []}
 
         class Pool:
-            def __init__(self, max_workers):
-                seen.append(max_workers)
+            def __init__(self, max_workers, initializer, initargs):
+                seen["workers"].append(max_workers)
+                initializer(*initargs)
 
             def __enter__(self):
                 return self
@@ -355,14 +358,46 @@ class TestRandomSearch:
                 return False
 
             def map(self, fn, items):
-                return map(fn, items)
+                for item in items:
+                    blob = pickle.dumps(item, protocol=pickle.DEFAULT_PROTOCOL)
+                    seen["item_bytes"].append(len(blob))
+                    yield fn(pickle.loads(blob))
 
+        monkeypatch.setattr(trainer, "ProcessPoolExecutor", Pool)
+        return seen
+
+    @pytest.mark.parametrize("n_trials, jobs, workers", [(1, 2, []), (2, 3, [2]), (3, 2, [2])])
+    def test_pool_has_no_more_workers_than_trials(self, small_data, pool, n_trials, jobs,
+                                                  workers):
         kw = dict(field="complex", hidden=4, n_trials=n_trials, seed=7, epochs=1, batch_size=30)
         want = trainer.random_search(small_data, **kw)
-        monkeypatch.setattr(trainer, "ProcessPoolExecutor", Pool)
         got = trainer.random_search(small_data, jobs=jobs, **kw)
-        assert seen == workers
+        assert pool["workers"] == workers
         assert [(r.trial_id, r.best_val) for r in got] == [(r.trial_id, r.best_val) for r in want]
+
+    def test_work_items_do_not_carry_the_dataset(self, small_data, pool):
+        trainer.random_search(small_data, field="complex", hidden=4, n_trials=3, seed=7,
+                              epochs=1, batch_size=30, jobs=2)
+        assert len(pool["item_bytes"]) == 3
+        assert max(pool["item_bytes"]) < 1024, pool["item_bytes"]
+
+    @pytest.mark.parametrize("fail", [False, True], ids=["returns", "raises"])
+    def test_search_does_not_keep_the_dataset(self, monkeypatch, fail):
+        data = dg.generate_bundle(dg.DatasetKind.SAWTOOTH, 5, n_train=20, n_val=10, n_test=10)
+        alive = weakref.ref(data.train)
+        kw = dict(field="complex", hidden=4, n_trials=2, seed=1, epochs=1, batch_size=10)
+        if fail:
+            def train(model, data, config):
+                raise RuntimeError("trial failed")
+
+            monkeypatch.setattr(trainer, "train", train)
+            with pytest.raises(RuntimeError, match="trial failed"):
+                trainer.random_search(data, **kw)
+        else:
+            trainer.random_search(data, **kw)
+        del data
+        gc.collect()
+        assert alive() is None
 
     def test_invalid_space_rejected(self):
         for bad in (dict(lr0=(0.0, 1.0)), dict(lr0=(1e-3, np.inf)),
