@@ -33,14 +33,16 @@ exact two-channel pair (gamma, delta) = (seed, 0); for a squared-error
 root this makes the emitted cogradient equal to the residual with no
 factor-two fudge. On a float64 graph conj() is the identity and the same
 rules give half the ordinary gradient (Kreutz-Delgado, arXiv 0906.4835).
+Only the leaves' cogradients and the root's seed outlive a pass; each
+interior cogradient is dropped once its node has emitted, its last use.
 
 Only rules with Jc != 0 read gamma: those of the non-holomorphic
 elementwise ops and of the real-root ops. backward() computes
 gamma = conj(delta) for those nodes alone and passes gamma=None to the
 rest (linear ops, holomorphic activations), so a holomorphic network's
 backward pass takes no conjugate of a cogradient. Finiteness is checked
-once per pass, on the leaf cogradients; only when that check fails are the
-emissions replayed to name the node that first emitted a NaN or inf.
+once per pass, on the leaf cogradients; only when that check fails is the
+pass re-run, checking every node, to name where a NaN or inf first appeared.
 
 wirtinger_pair_numeric() computes (J, Jc) by central finite differences on
 the real and imaginary axes. It is the one independent reference: every
@@ -84,7 +86,7 @@ class Var:
     """Node in a computation graph.
 
     value: float64 or complex128 ndarray (any shape, scalars are shape ()).
-    grad:  conjugate cogradient dL/d(conj z), filled in by backward().
+    grad:  conjugate cogradient dL/d(conj z); backward() sets it on leaves and the root only.
     emit:  closure (gamma, delta) -> per-parent contributions, or None
            for leaves. gamma plays the role of dL/dz on the output wire.
     reads_gamma: whether emit's rules read gamma; backward() passes
@@ -297,61 +299,59 @@ def _check_real_root(root: Var) -> None:
         )
 
 
-def _channels(node: Var, root: Var, seed: float) -> tuple[np.ndarray | None, np.ndarray]:
-    """(gamma, delta) on a node's output wire, once its .grad is filled in.
-
-    The root carries the exact pair (seed, 0). Any other node carries
-    delta = .grad and gamma = conj(delta), which is computed only when the
-    node's rules read it.
-    """
+def _channels(node: Var, root: Var, delta: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
+    """(gamma, delta) on a node's output wire; the root's delta is the seed, its pair (seed, 0)."""
     if node is root:
-        return np.asarray(seed, dtype=node.value.dtype), np.zeros((), dtype=node.value.dtype)
-    return (node.grad.conj() if node.reads_gamma else None), node.grad
+        return delta, np.zeros((), dtype=delta.dtype)
+    return (delta.conj() if node.reads_gamma else None), delta
 
 
-def _nonfinite_origin(order: list[Var], root: Var, seed: float) -> str:
-    """Name the node where a non-finite cogradient first appeared.
+def _propagate(order: list[Var], root: Var, check: bool = False) -> dict[Var, np.ndarray]:
+    """Push cogradients from root.grad down `order`; return {leaf: cogradient}.
 
-    Replays the emissions in backward order from the stored cogradients,
-    so it names the node whose emission was the first non-finite one.
+    Each pending entry is popped once, in reverse topological order, and
+    dropped after its node emits. With check, the first non-finite
+    accumulation or emission raises NumericError naming its node.
     """
+    pending = {id(root): root.grad}
+    leaves = {}
     for node in reversed(order):
-        if not np.all(np.isfinite(node.grad)):
+        # A non-root node is a parent of one handled before it: its entry exists.
+        delta = pending.pop(id(node))
+        if check and not np.all(np.isfinite(delta)):
             # Every emission into it was finite: the sum overflowed.
-            return f"non-finite gradient accumulated at node '{node.op}'"
-        if node.emit is not None:
-            if not all(np.all(np.isfinite(c)) for c in node.emit(*_channels(node, root, seed))):
-                return f"non-finite gradient emitted by node '{node.op}'"
-    raise AssertionError("no non-finite cogradient in the graph")
+            raise NumericError(f"non-finite gradient accumulated at node '{node.op}'")
+        if node.emit is None:
+            leaves[node] = delta
+            continue
+        for parent, c in zip(node.parents, node.emit(*_channels(node, root, delta))):
+            if check and not np.all(np.isfinite(c)):
+                raise NumericError(f"non-finite gradient emitted by node '{node.op}'")
+            prev = pending.get(id(parent))
+            pending[id(parent)] = c if prev is None else prev + c
+    return leaves
 
 
 def backward(root: Var, seed: float = 1.0) -> dict[Var, np.ndarray]:
-    """Fill .grad with dL/d(conj z) for every node; return {node: node.grad}.
+    """Set .grad: dL/d(conj z) on each leaf, the seed on the root; return those nodes' .grad.
 
-    One map, pending, holds the cogradients still accumulating, seeded with
-    the root's seed; each node's entry is popped into .grad once, in reverse
-    topological order. dL/dz is .grad's conjugate since the loss is real.
-    gamma = conj(delta) is computed only for nodes whose rules read it
-    (non-holomorphic elementwise ops and real-root ops). Finiteness is
-    checked once, on the leaf cogradients after the pass: every rule is
-    linear in (gamma, delta), so a NaN or inf emitted anywhere reaches
-    every leaf below it. If a leaf is non-finite, NumericError names the
-    node that first emitted a non-finite value.
+    Interior nodes get none: each cogradient is freed once its node has
+    emitted. dL/dz is .grad's conjugate since the loss is real. Finiteness
+    is checked once, on the leaf cogradients: every rule is linear in
+    (gamma, delta), so a NaN or inf emitted anywhere reaches every leaf
+    below it. If a leaf is non-finite, a re-run with checks names the node
+    that first accumulated or emitted one (NumericError).
     """
     _check_real_root(root)
     order = _toposort(root)
-    # A non-root node is a parent of one handled before it: its entry exists.
-    pending = {id(root): np.asarray(seed, dtype=root.value.dtype).copy()}
-    for node in reversed(order):
-        node.grad = pending.pop(id(node))
-        if node.emit is None:
-            continue
-        for parent, c in zip(node.parents, node.emit(*_channels(node, root, seed))):
-            prev = pending.get(id(parent))
-            pending[id(parent)] = c if prev is None else prev + c
-    if not all(np.all(np.isfinite(n.grad)) for n in order if n.emit is None):
-        raise NumericError(_nonfinite_origin(order, root, seed))
-    return {node: node.grad for node in order}
+    root.grad = np.asarray(seed, dtype=root.value.dtype).copy()
+    leaves = _propagate(order, root)
+    for leaf, delta in leaves.items():
+        leaf.grad = delta
+    if not all(np.all(np.isfinite(delta)) for delta in leaves.values()):
+        _propagate(order, root, check=True)
+        raise AssertionError("no non-finite cogradient in the graph")
+    return {root: root.grad, **leaves}
 
 
 # ---------------------------------------------------------------------------

@@ -129,8 +129,8 @@ def cmd_search(args) -> int:
 
 def cmd_eval(args) -> int:
     model = nn.load_model(args.model)
-    data = datagen.read_dataset(args.data)
-    mse = trainer.evaluate(model, data.partition(args.partition), data.kind)
+    kind, samples = datagen.read_partition(args.data, args.partition)
+    mse = trainer.evaluate(model, samples, kind)
     print(f"{args.partition}_mse={mse:.16e}")
     return 0
 

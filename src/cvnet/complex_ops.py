@@ -19,7 +19,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
 
@@ -67,12 +67,13 @@ class BlockFormat:
                     fh.write(pairs)
 
     def read(
-        self, path, layout: Callable[..., Sequence[tuple]]
+        self, path, layout: Callable[..., Sequence[tuple]], keep: Container[str] | None = None
     ) -> tuple[tuple, dict[str, np.ndarray]]:
         """(header fields after the version, {block name: array}).
 
         layout(*fields) checks the tags and gives each block's
-        (name, shape, dtype), dtype being COMPLEX or np.float64.
+        (name, shape, dtype), dtype being COMPLEX or np.float64. Only the
+        blocks named in keep (default: all) are stored, but all are checked.
         """
         start = len(self.magic)
         offset = start + struct.calcsize(self.header)
@@ -92,14 +93,16 @@ class BlockFormat:
                 count = math.prod(shape)
                 if offset + 16 * count > size:
                     raise FormatError(f"{self.what} truncated in {name} at byte {size}")
-                arr = np.empty(count, dtype)
-                real = arr.dtype == np.float64
+                real = np.dtype(dtype) == np.float64
+                arr = np.empty(count, dtype) if keep is None or name in keep else None
                 for lo in range(0, count, _CHUNK):
                     pairs = staging[: min(_CHUNK, count - lo)]
                     fh.readinto(pairs)
                     self._check(pairs, name, offset + 16 * lo, real)
-                    arr[lo : lo + pairs.size] = pairs.real if real else pairs
-                blocks[name] = arr.reshape(shape)
+                    if arr is not None:
+                        arr[lo : lo + pairs.size] = pairs.real if real else pairs
+                if arr is not None:
+                    blocks[name] = arr.reshape(shape)
                 offset += 16 * count
         if offset != size:
             raise FormatError(f"trailing bytes in {self.what} at byte {offset}")

@@ -68,6 +68,7 @@ _KIND_TAGS = {
     DatasetKind.INHARMONIC: 2,
     DatasetKind.INHARMONIC_ANALYTIC: 3,
 }
+_KINDS = {v: k for k, v in _KIND_TAGS.items()}
 
 
 @dataclass(frozen=True)
@@ -278,17 +279,24 @@ def write_dataset(bundle: DatasetBundle, path) -> None:
     _FORMAT.write(path, (_KIND_TAGS[bundle.kind], bundle.seed, *(len(p) for p in parts)), parts)
 
 
+def _layout(kind_tag, seed, *counts):
+    if kind_tag not in _KINDS:
+        raise FormatError(f"unknown dataset kind tag {kind_tag} at byte 5")
+    dtype = COMPLEX if _KINDS[kind_tag].analytic else np.float64
+    return [(name, (n, N_SAMPLES), dtype) for name, n in zip(_PARTITION_STREAMS, counts)]
+
+
 def read_dataset(path) -> DatasetBundle:
-    kinds = {v: k for k, v in _KIND_TAGS.items()}
+    (kind_tag, seed, *_), parts = _FORMAT.read(path, _layout)
+    return DatasetBundle(kind=_KINDS[kind_tag], seed=seed, **parts)
 
-    def layout(kind_tag, seed, *counts):
-        if kind_tag not in kinds:
-            raise FormatError(f"unknown dataset kind tag {kind_tag} at byte 5")
-        dtype = COMPLEX if kinds[kind_tag].analytic else np.float64
-        return [(name, (n, N_SAMPLES), dtype) for name, n in zip(_PARTITION_STREAMS, counts)]
 
-    (kind_tag, seed, *_), parts = _FORMAT.read(path, layout)
-    return DatasetBundle(kind=kinds[kind_tag], seed=seed, **parts)
+def read_partition(path, name: str) -> tuple[DatasetKind, np.ndarray]:
+    """(kind, samples) of one partition, checked as by read_dataset; the rest is not kept."""
+    if name not in _PARTITION_STREAMS:
+        raise ValueError(f"unknown partition {name!r}")
+    (kind_tag, *_), parts = _FORMAT.read(path, _layout, keep={name})
+    return _KINDS[kind_tag], parts[name]
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -312,13 +312,26 @@ def _run_trial(args) -> TrialResult:
     return result
 
 
+def _rank_key(r: TrialResult) -> tuple:
+    return (r.diverged, 0.0 if r.diverged else r.best_val, r.trial_id)
+
+
 def rank_results(results: Sequence[TrialResult]) -> list[TrialResult]:
-    """Completed trials by ascending best_val; diverged trials last."""
-    completed = sorted(
-        (r for r in results if not r.diverged), key=lambda r: (r.best_val, r.trial_id)
-    )
-    diverged = sorted((r for r in results if r.diverged), key=lambda r: r.trial_id)
-    return completed + diverged
+    """Completed trials by ascending best_val, then diverged trials; ties by trial_id."""
+    return sorted(results, key=_rank_key)
+
+
+def _keep_one_model(trials: Iterable[TrialResult]) -> list[TrialResult]:
+    """The results as they arrive, with .model dropped from all but the rank-first that kept one."""
+    results, kept = [], None
+    for r in trials:
+        results.append(r)
+        if r.model is not None:
+            if kept is None or _rank_key(r) < _rank_key(kept):
+                kept, r = r, kept  # r is now the one to lose its model, if any
+            if r is not None:
+                r.model = None
+    return results
 
 
 def random_search(
@@ -342,6 +355,8 @@ def random_search(
     carries only its trial's settings. The dataset is held in one
     module-level slot, so a process runs one search at a time; the slot is
     cleared when the search returns or raises.
+    Only the rank-first trial that kept a model (write_search_outputs'
+    checkpoint) keeps .model; the others lose it as their results arrive.
     """
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
@@ -352,10 +367,10 @@ def random_search(
         if workers > 1:
             with ProcessPoolExecutor(max_workers=workers, initializer=_hold_search_data,
                                      initargs=(data,)) as pool:
-                results = list(pool.map(_run_trial, work))
+                results = _keep_one_model(pool.map(_run_trial, work))
         else:
             _hold_search_data(data)
-            results = [_run_trial(w) for w in work]
+            results = _keep_one_model(_run_trial(w) for w in work)
     finally:
         _hold_search_data(None)
     return rank_results(results)

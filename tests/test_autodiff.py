@@ -1,5 +1,7 @@
 """The differentiation engine against its finite-difference oracle."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -198,6 +200,44 @@ class TestBackward:
         with np.errstate(over="ignore"):
             with pytest.raises(ad.NumericError, match="accumulated at node 'leaf'"):
                 ad.backward(loss)
+
+    def test_only_leaves_and_root_keep_cogradients(self):
+        # Interior cogradients are freed once their node has emitted.
+        m = nn.init_model(4, 3, 4, field="complex", init_scale=0.7, seed=8)
+        rng = make_rng(26)
+        frames = [sample_circular_gaussian(rng, (4, 5), 1.0) for _ in range(2)]
+        data = ad.Var(sample_circular_gaussian(rng, (4, 5), 1.0))  # a data leaf
+        loss, pv = nn.forward_loss(m, frames + [data], np.zeros((4, 5)))
+        store = ad.backward(loss)
+        order = ad._toposort(loss)
+        kept = [n for n in order if n.emit is None] + [loss]
+        assert set(store) == set(kept) and len(store) == len(kept)
+        assert set(pv.values()) | {data} <= set(store)
+        assert all(n.grad is None for n in order if n not in store)
+        assert len(order) > len(store)
+        for node, grad in store.items():
+            assert node.grad is grad and grad.shape == node.value.shape
+        assert store[loss] == 1.0
+
+    def test_peak_does_not_grow_with_chain_length(self):
+        # A chain of k elementwise nodes over one (1000, 100) array: holding
+        # every interior cogradient until the pass ends would add one array
+        # per node to backward's peak.
+        arr = 0.5 * sample_circular_gaussian(make_rng(27), (1000, 100), 1.0)
+        peaks = {}
+        for k in (4, 20):
+            v = ad.Var(arr)
+            for _ in range(k):
+                v = ad.elementwise(v, "linear")
+            loss = ad.sum_abs2(v)
+            del v
+            tracemalloc.start()
+            try:
+                ad.backward(loss)
+                peaks[k] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[20] < peaks[4] + arr.nbytes / 2, (peaks, arr.nbytes)
 
     def test_grad_shapes_match_values(self):
         rng = make_rng(21)

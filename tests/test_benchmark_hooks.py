@@ -10,7 +10,7 @@ import importlib.util
 from pathlib import Path
 
 from cvnet import autodiff as ad
-from cvnet import datagen, nn, trainer
+from cvnet import cli, datagen, nn, trainer
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 OPS = {"matmul", "ctanh", "add", "mse"}
@@ -84,3 +84,19 @@ def test_search_spans_its_trials_and_their_training():
     assert len(trials) == 2 and all(s[1] == search[0] for s in trials)
     trains = [s for s in tracer.spans if s[2] == "trainer.train"]
     assert sorted(s[1] for s in trains) == sorted(s[0] for s in trials)
+
+
+def test_eval_through_the_cli_is_traced(tmp_path, capsys):
+    # tracing.py wraps cli.cmd_eval, which the full-scale tail calls; a
+    # change to eval's read path must not break a traced benchmark run.
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    data = tmp_path / "data.cvds"
+    datagen.write_dataset(datagen.generate_bundle(datagen.DatasetKind.SAWTOOTH, 3, 4, 2, 2), data)
+    model = tmp_path / "m.cvnn"
+    nn.save_model(nn.init_model(256, 4, 256, field="complex", init_scale=0.5, seed=3), model)
+    with tracing.installed(tracer):
+        rc = cli.main(["eval", "--model", str(model), "--data", str(data), "--partition", "test"])
+    assert rc == 0 and capsys.readouterr().out.startswith("test_mse=")
+    (span,) = [s for s in tracer.spans if s[2] == "cli.eval"]
+    assert [s[1] for s in tracer.spans if s[2] == "nn.forward_loss"] == [span[0]]

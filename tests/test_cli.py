@@ -5,13 +5,14 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import cvnet
-from cvnet import cli, datagen, nn
+from cvnet import cli, datagen, nn, trainer
 
 
 def run(argv):
@@ -113,6 +114,32 @@ class TestTrainEvalFilters:
             assert np.all(arr.imag == 0)
 
 
+class TestEvalReadsOnePartition:
+    def test_same_bits_and_train_partition_not_held(self, tmp_path, capsys):
+        # The train partition (4.9 MB) dwarfs the test partition; eval keeps
+        # only the one it scores, so its traced peak stays below the train
+        # partition's size, and it prints evaluate()'s value on that partition.
+        rng = np.random.default_rng(8)
+        parts = [rng.normal(size=(n, datagen.N_SAMPLES)) for n in (600, 2, 4)]
+        data = tmp_path / "big-train.cvds"
+        datagen.write_dataset(datagen.DatasetBundle(datagen.DatasetKind.SAWTOOTH, 8, *parts), data)
+        model = tmp_path / "m.cvnn"
+        nn.save_model(nn.init_model(256, 4, 256, init_scale=0.5, seed=8), model)
+        bundle = datagen.read_dataset(data)
+        want = trainer.evaluate(nn.load_model(model), bundle.test, bundle.kind)
+        train_bytes = bundle.train.nbytes
+        capsys.readouterr()
+        tracemalloc.start()
+        try:
+            rc = run(["eval", "--model", str(model), "--data", str(data), "--partition", "test"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+        assert capsys.readouterr().out == f"test_mse={want:.16e}\n"
+        assert peak < train_bytes, (peak, train_bytes)
+
+
 class TestSearch:
     def test_search_outputs(self, data_file, tmp_path):
         out = tmp_path / "search"
@@ -141,7 +168,7 @@ def usage_files(tmp_path_factory, data_file):
     root = tmp_path_factory.mktemp("usage")
     files = {name: root / name
              for name in ("SHORT", "NOTRAIN", "NOVAL", "MODEL", "OUT", "MISSING", "NANMODEL",
-                          "INFDATA", "REALTAG")}
+                          "INFDATA", "REALTAG", "IMAGDATA")}
     files["NODIR"] = root / "no-such-dir" / "x.cvds"
     files["DATA"] = data_file
     files["SHORT"].write_bytes(bytes(10))
@@ -158,6 +185,10 @@ def usage_files(tmp_path_factory, data_file):
     data = datagen.generate_bundle("sawtooth", 1, 2, 2, 2)
     data.train[1, 5] = np.inf
     datagen.write_dataset(data, files["INFDATA"])
+    # One corrupted byte: the top byte of a train sample's zero imaginary part.
+    blob = bytearray(data_file.read_bytes())
+    blob[26 + 16 * 1029 + 15] = 0x3F
+    files["IMAGDATA"].write_bytes(bytes(blob))
     return files
 
 
@@ -210,6 +241,10 @@ class TestUsageErrors:
          "cvnet filters: error: non-finite value in checkpoint w_in at byte 19"),
         (SEARCH + ["--data", "INFDATA", "--hidden", "4", "--trials", "1"],
          f"cvnet search: error: non-finite value in dataset train at byte {26 + 16 * 1029}"),
+        (["eval", "--model", "MODEL", "--data", "INFDATA", "--partition", "test"],
+         f"cvnet eval: error: non-finite value in dataset train at byte {26 + 16 * 1029}"),
+        (["eval", "--model", "MODEL", "--data", "IMAGDATA", "--partition", "test"],
+         f"cvnet eval: error: nonzero imaginary part in dataset train at byte {26 + 16 * 1029 + 8}"),
         (FILTERS + ["--model", "REALTAG"],
          "cvnet filters: error: nonzero imaginary part in checkpoint w_in at byte 27"),
         (TRAIN + ["--data", "DATA", "--hidden", "4", "--init-scale", "nan"],
@@ -221,6 +256,7 @@ class TestUsageErrors:
             "train-empty-train", "train-empty-val", "eval-empty-partition",
             "filters-rows-too-many", "eval-missing-model", "gen-missing-out-dir",
             "eval-nan-checkpoint", "filters-nan-checkpoint", "search-inf-sample",
+            "eval-test-inf-in-train", "eval-test-corrupt-byte-in-train",
             "filters-real-tag-complex-params", "train-init-scale-nan"])
     def test_one_line_and_exit_two(self, argv, message, usage_files):
         # A bad setting or input file is a usage error, not a traceback.

@@ -407,6 +407,39 @@ class TestBundleIO:
         assert peaks[0] <= 0.1 * nbytes and peaks[1] <= 1.1 * nbytes, (peaks, nbytes)
         assert dg.bundles_equal(dg.read_dataset(path), bundle)
 
+    @pytest.mark.parametrize("kind", ["inharmonic", "inharmonic-analytic"])
+    def test_read_partition_equals_read_dataset(self, tmp_path, kind):
+        path = tmp_path / "data.cvds"
+        dg.write_dataset(dg.generate_bundle(kind, 43, 5, 3, 2), path)
+        bundle = dg.read_dataset(path)
+        for name in ("train", "val", "test"):
+            got_kind, samples = dg.read_partition(path, name)
+            want = bundle.partition(name)
+            assert got_kind == bundle.kind
+            assert samples.dtype == want.dtype and samples.shape == want.shape
+            assert samples.tobytes() == want.tobytes()
+        with pytest.raises(ValueError, match="unknown partition"):
+            dg.read_partition(path, "kind")
+
+    @pytest.mark.parametrize("part", ["train", "val", "test"])
+    def test_read_partition_checks_every_block(self, tmp_path, part):
+        # A fault in a partition that is not kept is still found, with the
+        # error and byte read_dataset reports.
+        path = tmp_path / "data.cvds"
+        dg.write_dataset(dg.generate_bundle("inharmonic", 44, 3, 2, 2), path)
+        byte = 26 + 16 * dg.N_SAMPLES * {"train": 0, "val": 3, "test": 5}[part] + 16 * 7
+        blob = bytearray(path.read_bytes())
+        blob[byte : byte + 8] = np.array([np.inf]).tobytes()
+        path.write_bytes(bytes(blob))
+        want = f"non-finite value in dataset {part} at byte {byte}"
+        with pytest.raises(FormatError) as exc:
+            dg.read_dataset(path)
+        assert str(exc.value) == want
+        for name in ("train", "val", "test"):
+            with pytest.raises(FormatError) as exc:
+                dg.read_partition(path, name)
+            assert str(exc.value) == want
+
     def test_same_seed_same_bytes(self, tmp_path):
         a, b = tmp_path / "a.cvds", tmp_path / "b.cvds"
         dg.write_dataset(self.small_bundle(), a)

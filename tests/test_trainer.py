@@ -298,6 +298,11 @@ class TestEvaluate:
         assert base == pytest.approx(want, rel=1e-12)
 
 
+# (status, best_val, kept a model) of stand-in trials, ties included.
+OUTCOMES = [("diverged", 2.0, True), ("completed", 0.5, True), ("diverged", np.inf, False),
+            ("completed", 0.3, True), ("completed", 0.3, True), ("diverged", 1.0, True)]
+
+
 class TestRandomSearch:
     def test_single_trial(self, small_data):
         res = trainer.random_search(small_data, field="complex", hidden=4, n_trials=1,
@@ -398,6 +403,47 @@ class TestRandomSearch:
         del data
         gc.collect()
         assert alive() is None
+
+    @pytest.mark.parametrize("outcomes", [OUTCOMES[k:] + OUTCOMES[:k] for k in range(6)]
+                             + [[o for o in OUTCOMES if o[0] == "diverged"]])
+    def test_only_the_rank_first_trial_with_a_model_keeps_it(self, small_data, monkeypatch,
+                                                              outcomes):
+        # Trial t returns outcomes[t]; whatever order the results arrive in,
+        # the one write_search_outputs saves keeps its model and no other does.
+        cfg = trainer.TrainConfig(lr0=1e-3, half_life=10.0, init_scale=1.0, epochs=1)
+        model = nn.init_model(2, 2, 2, seed=1)
+
+        def outcome(t):
+            status, best_val, kept = outcomes[t]
+            return trainer.TrialResult(cfg, [], best_val, 0, status, model if kept else None, t)
+
+        monkeypatch.setattr(trainer, "_run_trial", lambda args: outcome(args[-1]))
+        want = next(r for r in trainer.rank_results([outcome(t) for t in range(len(outcomes))])
+                    if r.model is not None)
+        res = trainer.random_search(small_data, field="complex", hidden=4,
+                                    n_trials=len(outcomes), seed=1, epochs=1, batch_size=30)
+        assert [r.trial_id for r in res if r.model is not None] == [want.trial_id]
+        assert [r.trial_id for r in res] == [r.trial_id for r in trainer.rank_results(res)]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_search_holds_one_model_as_trials_finish(self, small_data, pool, monkeypatch, jobs):
+        # Before each trial starts, at most one earlier trial's model is alive.
+        models, alive_at_start = [], []
+        run_trial = trainer._run_trial
+
+        def counted(args):
+            gc.collect()
+            alive_at_start.append(sum(m() is not None for m in models))
+            result = run_trial(args)
+            models.append(weakref.ref(result.model))
+            return result
+
+        monkeypatch.setattr(trainer, "_run_trial", counted)
+        res = trainer.random_search(small_data, field="complex", hidden=4, n_trials=4, seed=9,
+                                    epochs=1, batch_size=30, space=trainer.SearchSpace(
+                                        lr0=(1e-4, 1e-3)), jobs=jobs)
+        assert alive_at_start == [0, 1, 1, 1]
+        assert [r.model is not None for r in res] == [True, False, False, False]
 
     def test_invalid_space_rejected(self):
         for bad in (dict(lr0=(0.0, 1.0)), dict(lr0=(1e-3, np.inf)),
