@@ -244,8 +244,17 @@ def elementwise(x, name: str) -> Var:
 
 def _squared_error(op: str, x, e: np.ndarray, n: int) -> Var:
     """Real scalar squared_norm(e) / n of x's residual e; as the root it emits e / n."""
-    return _node(squared_norm(e) / n, op, (x,), (lambda gamma, delta: (gamma + delta) * (e / n),),
-                 reads_gamma=True)
+
+    def rule(gamma, delta):
+        # numpy divides a complex e by (n, 0) as each part times 1/n, so one
+        # float64 pass over e's parts gives its bits (up to a zero's sign)
+        # without a complex division.
+        out = e / n if e.dtype != COMPLEX else (
+            e.reshape(-1).view(np.float64) * (1.0 / n)).view(COMPLEX).reshape(e.shape)
+        scale = gamma + delta
+        return out if scale == 1 else scale * out
+
+    return _node(squared_norm(e) / n, op, (x,), (rule,), reads_gamma=True)
 
 
 def sum_abs2(x) -> Var:

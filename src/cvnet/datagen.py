@@ -306,8 +306,10 @@ def read_partition(path, name: str) -> tuple[DatasetKind, np.ndarray]:
 def model_dims(kind: DatasetKind, field: str) -> tuple[int, int]:
     """(d_in, d_out) a model needs for this dataset kind and field.
 
-    Real models on analytic data see split re/im vectors (twice the width);
-    real models on real data see the real part only.
+    Real models on analytic data see each complex frame split into its
+    real and imaginary parts, twice the width, in the samples' own memory
+    order re x_0, im x_0, re x_1, im x_1, ... (see STACKED); real models on
+    real data see the real part only.
     """
     if field == "complex":
         return FRAME_LEN, FRAME_LEN
@@ -316,16 +318,25 @@ def model_dims(kind: DatasetKind, field: str) -> tuple[int, int]:
     raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
 
 
+# A split frame's coordinates in the stacked order re x_0 .. re x_255,
+# im x_0 .. im x_255, which checkpoints keep: position s of the stacked
+# order holds the interleaved coordinate STACKED[s], and INTERLEAVED is its
+# inverse, so stacked = interleaved[STACKED] and interleaved = stacked[INTERLEAVED].
+STACKED = np.arange(2 * FRAME_LEN).reshape(FRAME_LEN, 2).T.ravel()
+INTERLEAVED = np.argsort(STACKED)
+
+
 def _observations(samples: np.ndarray, kind: DatasetKind) -> np.ndarray:
-    """Samples as an (n, 1024) matrix of the kind's dtype; one observation may be 1-D.
+    """Samples as a C-contiguous (n, 1024) matrix of the kind's dtype; one observation may be 1-D.
 
     The one dtype rule: analytic kinds hold complex128, real-valued kinds
-    C-contiguous float64 by complex_ops.as_real, the narrowing rule that
-    real-field models share: complex input must have an exactly zero
-    imaginary part. complex128 and C-contiguous float64 input pass uncopied.
+    float64 by complex_ops.as_real, the narrowing rule that real-field
+    models share: complex input must have an exactly zero imaginary part.
+    C-contiguous complex128 and float64 input pass uncopied; contiguous
+    rows are what lets complex samples be read as float64 (build_views).
     """
     if kind.analytic:
-        samples = np.asarray(samples, dtype=COMPLEX)
+        samples = np.ascontiguousarray(samples, dtype=COMPLEX)
     else:
         samples = as_real(samples, f"{kind.value} samples must have a zero imaginary part")
     if samples.ndim == 1:
@@ -335,42 +346,29 @@ def _observations(samples: np.ndarray, kind: DatasetKind) -> np.ndarray:
     return samples
 
 
-def _frame_view(samples: np.ndarray, index: int, split: bool, order: str = "K") -> np.ndarray:
-    """Frame `index` of every observation, one per column, as the model sees it.
-
-    split stacks the real and imaginary parts. Otherwise the frame keeps
-    the samples' dtype: real-valued kinds give float64 frames in both
-    fields, so a complex model multiplies real frames (autodiff.matmul then
-    runs real GEMMs); with the default order="K" that frame is a view of
-    the samples, each column contiguous at a 1024-element stride. order="C"
-    returns a row-major array.
-    """
-    frame = samples[:, index * FRAME_LEN : (index + 1) * FRAME_LEN].T  # (256, n)
-    if not split:
-        return np.asarray(frame, order=order)
-    out = np.empty((2 * FRAME_LEN, frame.shape[1])) if order == "C" else None
-    return np.concatenate([frame.real, frame.imag], axis=0, out=out)
-
-
 def build_views(
     samples: np.ndarray, kind: DatasetKind, field: str
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Batch input/target matrices, one observation per column.
 
     Real-valued kinds (sawtooth, inharmonic): the float64 frames, (256, n),
-    for both fields; the input frames are views of the samples.
+    for both fields, so a complex model multiplies real frames
+    (autodiff.matmul then runs real GEMMs).
     Analytic kinds, complex field: the complex frames, (256, n), complex128.
-    Analytic kinds, real field: concatenated [re_0..re_255, im_0..im_255],
-    (512, n), as float64.
+    Analytic kinds, real field: the complex frames read as float64, (512, n),
+    interleaved re x_0, im x_0, re x_1, im x_1, ...
+    The input frames are views of the samples in every case, each column
+    contiguous, one sample row apart.
 
-    The target is C-contiguous, like the model's prediction, so the
-    residual pred - target runs over both in the same order.
+    The target is the one copy, C-contiguous like the model's prediction,
+    so the residual pred - target runs over both in the same order.
     This is the one entry point from samples to model inputs (training and
     evaluation), so the finiteness of the data is checked here, once per
     call; the frames then enter the graph as unchecked constants.
     """
     samples = ensure_finite(_observations(samples, kind), "samples")
-    split = model_dims(kind, field)[0] == 2 * FRAME_LEN
-    frames = [_frame_view(samples, i, split) for i in range(N_FRAMES - 1)]
-    return frames, _frame_view(samples, N_FRAMES - 1, split, order="C")
-
+    width = model_dims(kind, field)[0]
+    if width == 2 * FRAME_LEN:
+        samples = samples.view(np.float64)  # (n, 2048): each sample as its (re, im) pair
+    *frames, last = (samples[:, i * width : (i + 1) * width].T for i in range(N_FRAMES))
+    return frames, np.ascontiguousarray(last)

@@ -117,6 +117,19 @@ class TestBackward:
         ad.backward(ad.sum_abs2(nn.ctanh(z)))
         assert z.grad == 0
 
+    @pytest.mark.parametrize("part", [np.real, np.asarray], ids=["float64", "complex128"])
+    @pytest.mark.parametrize("seed", [1.0, 2.5])
+    @pytest.mark.parametrize("shape", [(), (7, 5)])
+    def test_squared_error_emits_the_scaled_residual_bits(self, part, seed, shape):
+        # The root's emission is seed * (e / n) to the last bit, whatever
+        # path computes it.
+        rng = make_rng(18)
+        pred, target = (part(sample_circular_gaussian(rng, shape, 1.0)) for _ in range(2))
+        p = ad.Var(pred)
+        ad.backward(ad.mse(p, target, 3 * max(pred.size, 1)), seed=seed)
+        want = seed * ((pred - target) / (3 * max(pred.size, 1)))
+        assert p.grad.dtype == want.dtype and p.grad.tobytes() == want.tobytes()
+
     def test_seed_stored_at_root(self):
         z = ad.Var(scalar(1 + 1j))
         loss = ad.sum_abs2(z)

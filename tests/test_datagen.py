@@ -506,6 +506,15 @@ class TestModelViews:
         assert target.flags.c_contiguous
 
     @pytest.mark.parametrize("kind", list(dg.DatasetKind))
+    @pytest.mark.parametrize("field", ["complex", "real"])
+    def test_every_input_frame_is_a_view_of_the_samples(self, kind, field):
+        # Only the target is copied, once, into the prediction's layout.
+        bundle = dg.generate_bundle(kind, 36, 3, 2, 2)
+        frames, target = dg.build_views(bundle.train, kind, field)
+        assert all(np.shares_memory(f, bundle.train) for f in frames)
+        assert target.flags.c_contiguous and not np.shares_memory(target, bundle.train)
+
+    @pytest.mark.parametrize("kind", list(dg.DatasetKind))
     def test_complex_field_is_float64_on_real_valued_kinds(self, kind):
         bundle = dg.generate_bundle(kind, 37, 3, 2, 2)
         frames, target = dg.build_views(bundle.train, kind, "complex")
@@ -540,13 +549,29 @@ class TestModelViews:
         np.testing.assert_array_equal(frames[0][:, 0], bundle.train[0, :256])
         np.testing.assert_array_equal(target[:, 0], bundle.train[0, 768:])
 
-    def test_real_view_of_analytic_concatenates_re_im(self):
+    def test_real_view_of_analytic_interleaves_re_im(self):
+        # A complex frame read as float64: re x_k at row 2k, im x_k at 2k + 1.
         bundle = dg.generate_bundle(dg.DatasetKind.SAWTOOTH_ANALYTIC, 32, 2, 2, 2)
         frames, target = dg.build_views(bundle.train, bundle.kind, "real")
         assert frames[0].shape == (512, 2) and target.shape == (512, 2)
-        np.testing.assert_array_equal(frames[0][:256, 0], bundle.train[0, :256].real)
-        np.testing.assert_array_equal(frames[0][256:, 0], bundle.train[0, :256].imag)
-        assert np.all(frames[0].imag == 0)
+        assert frames[0].dtype == target.dtype == np.float64
+        np.testing.assert_array_equal(frames[0][0::2, 0], bundle.train[0, :256].real)
+        np.testing.assert_array_equal(frames[0][1::2, 0], bundle.train[0, :256].imag)
+        np.testing.assert_array_equal(target[0::2, 1], bundle.train[1, 768:].real)
+        np.testing.assert_array_equal(target[1::2, 1], bundle.train[1, 768:].imag)
+        # STACKED and INTERLEAVED move between this order and [re; im].
+        stacked = np.concatenate([bundle.train[0, :256].real, bundle.train[0, :256].imag])
+        np.testing.assert_array_equal(frames[0][dg.STACKED, 0], stacked)
+        np.testing.assert_array_equal(stacked[dg.INTERLEAVED], frames[0][:, 0])
+
+    def test_real_view_of_analytic_samples_in_any_memory_order(self):
+        # Column-major samples are copied once, into rows that can be read
+        # as float64.
+        bundle = dg.generate_bundle(dg.DatasetKind.INHARMONIC_ANALYTIC, 35, 4, 2, 2)
+        frames, target = dg.build_views(np.asfortranarray(bundle.train), bundle.kind, "real")
+        want_frames, want_target = dg.build_views(bundle.train, bundle.kind, "real")
+        for got, want in zip(frames + [target], want_frames + [want_target]):
+            np.testing.assert_array_equal(got, want)
 
     def test_real_view_of_real_kind_takes_real_part(self):
         bundle = dg.generate_bundle(dg.DatasetKind.SAWTOOTH, 33, 2, 2, 2)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvnet import autodiff as ad
+from cvnet import datagen as dg
 from cvnet import nn
 from cvnet.complex_ops import FormatError, make_rng, sample_circular_gaussian
 
@@ -542,7 +543,8 @@ class TestCheckpoint:
         nn.save_model(model, path)
         return nn.load_model(path), path
 
-    @pytest.mark.parametrize("field,dims", [("complex", (8, 5, 8)), ("real", (16, 5, 16))])
+    @pytest.mark.parametrize("field,dims", [("complex", (8, 5, 8)), ("real", (16, 5, 16)),
+                                            ("real", (512, 5, 512))])
     def test_bit_exact_roundtrip(self, field, dims, tmp_path):
         d_in, h, d_out = dims
         m = nn.init_model(d_in, h, d_out, field=field, init_scale=0.9, seed=8)
@@ -614,3 +616,30 @@ class TestCheckpoint:
         for name, arr in loaded.params().items():
             assert arr.dtype == np.float64, name
             np.testing.assert_array_equal(arr, m.params()[name])
+
+    def test_stacked_layout_file_predicts_the_same_on_interleaved_views(self, tmp_path):
+        # A real 512-wide model written straight through the container, in the
+        # files' stacked [re; im] order, loads with its frame axes interleaved:
+        # on build_views' frames it predicts what it predicted on
+        # concatenated [re; im] frames, and it saves back to the same bytes.
+        rng = make_rng(21)
+        old = nn.RecurrentModel("real", nn.ActivationKind.REAL_TANH, **{
+            name: rng.normal(0.0, 0.05, shape) for name, shape in nn.param_shapes(512, 6, 512).items()
+        })
+        path = tmp_path / "stacked.cvnn"
+        header = (nn._FIELD_TAGS["real"], 512, 6, 512, nn._ACTIVATION_TAGS[old.activation])
+        nn._FORMAT.write(path, header, old.params().values())
+        loaded = nn.load_model(path)
+
+        kind = dg.DatasetKind.INHARMONIC_ANALYTIC
+        samples = dg.generate_bundle(kind, 23, 5, 1, 1).train
+        stacked = [np.concatenate([f.real, f.imag]) for f in
+                   (samples[:, i * 256 : (i + 1) * 256].T for i in range(3))]
+        want = nn.predict_frame(nn.param_vars(old), stacked, old.activation).value
+        frames, _ = dg.build_views(samples, kind, "real")
+        got = nn.predict_frame(nn.param_vars(loaded), frames, loaded.activation).value
+        np.testing.assert_allclose(got[dg.STACKED], want)
+        np.testing.assert_array_equal(loaded.w_in[:, dg.STACKED], old.w_in)
+        np.testing.assert_array_equal(loaded.b_out[dg.STACKED], old.b_out)
+        nn.save_model(loaded, tmp_path / "again.cvnn")
+        assert (tmp_path / "again.cvnn").read_bytes() == path.read_bytes()

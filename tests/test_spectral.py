@@ -71,11 +71,16 @@ class TestFilterResponse:
             m = nn.init_model(d, 4, d, field=field, init_scale=0.5, seed=2)
             assert spectral.filter_response(m, 1).shape == (256,)
 
-    def test_split_input_halves_recombine(self):
-        m = nn.init_model(512, 4, 512, field="real", init_scale=0.5, seed=3)
-        w = m.w_in[2, :]
-        want = np.abs(spectral.dft(w[:256].real + 1j * w[256:].real))
-        np.testing.assert_allclose(spectral.filter_response(m, 2), want, atol=0)
+    def test_split_input_pairs_recombine(self):
+        # Coordinates 2k and 2k + 1 of a 512-wide real row weigh re x_k and
+        # im x_k: a row interleaving a complex filter's parts has its response.
+        t = np.arange(256)
+        c = np.exp(2j * np.pi * 10 * t / 256) * (1.0 + 0.5 * np.cos(2 * np.pi * t / 256))
+        row = np.empty(512)
+        row[0::2], row[1::2] = c.real, c.imag
+        mags = spectral.filter_response(self.model_with_row(row, "real", 512), 0)
+        np.testing.assert_allclose(mags, np.abs(spectral.dft(c)), atol=0)
+        assert np.argmax(mags) == 10
 
     def test_row_out_of_range(self):
         m = nn.init_model(256, 4, 256, field="complex", seed=4)
