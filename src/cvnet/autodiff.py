@@ -19,6 +19,13 @@ fed to a model costs nothing in backward(). An elementwise op has exactly
 one derivative, the (J, Jc) pair of its REGISTRY entry; graph nodes,
 gradcheck and the materialized pairs all evaluate that same pair.
 
+A graph holds only what backward() reads. A Var is the handle a caller
+holds; the node a consumer keeps as its parent is the leaf Var itself or,
+for every other Var, a value-free _Node. So a graph keeps its leaves, the
+values its rules close over (matmul operands, an elementwise op's input
+and output, a squared-error root's residual) and the Vars the caller
+still holds; an intermediate sum nobody reads is freed with its handle.
+
 backward() propagates a single channel, the conjugate cogradient
 delta = dL/d(conj z), in reverse topological order. Given the accumulated
 delta on a node's output, the contribution pushed to an input is
@@ -82,8 +89,29 @@ class EvaluationError(ArithmeticError):
 # Graph
 # ---------------------------------------------------------------------------
 
+class _Node:
+    """The value-free graph node of a non-leaf Var, held by its consumers.
+
+    grad stays None: backward() stores no interior cogradient.
+    """
+
+    __slots__ = ("op", "parents", "emit", "reads_gamma", "grad")
+
+    def __init__(self, op, parents, emit, reads_gamma):
+        self.op = op
+        self.parents = tuple(parents)
+        self.emit = emit
+        self.reads_gamma = reads_gamma
+        self.grad = None
+
+
+def _delegated(name: str) -> property:
+    return property(lambda self: getattr(self._n, name),
+                    lambda self, v: setattr(self._n, name, v))
+
+
 class Var:
-    """Node in a computation graph.
+    """A value and its place in a computation graph.
 
     value: float64 or complex128 ndarray (any shape, scalars are shape ()).
     grad:  conjugate cogradient dL/d(conj z); backward() sets it on leaves and the root only.
@@ -92,23 +120,33 @@ class Var:
     reads_gamma: whether emit's rules read gamma; backward() passes
            gamma=None to every other node.
 
-    Var(value) makes a leaf; every other node comes from _node().
+    Var(value) makes a leaf, which is its own graph node. Every other Var
+    comes from _node() and keeps op, parents, emit and reads_gamma in a
+    value-free _Node (.node), so the graph keeps its value only while the
+    caller holds the Var or a rule reads it.
     """
 
-    __slots__ = ("value", "grad", "op", "parents", "emit", "reads_gamma")
+    __slots__ = ("value", "grad", "_n")
     # ndarray operators return NotImplemented, so `array + var` and
     # `array @ var` reach __radd__/__rmatmul__ and build one node.
     __array_ufunc__ = None
+
+    op = _delegated("op")
+    parents = _delegated("parents")
+    emit = _delegated("emit")
+    reads_gamma = _delegated("reads_gamma")
 
     def __init__(self, value, op="leaf", parents=(), emit=None, reads_gamma=False):
         self.value = promote(value)
         if op == "leaf":
             ensure_finite(self.value, "leaf value")
         self.grad = None
-        self.op = op
-        self.parents = tuple(parents)
-        self.emit = emit
-        self.reads_gamma = reads_gamma
+        self._n = _Node(op, parents, emit, reads_gamma)
+
+    @property
+    def node(self):
+        """What a consumer keeps as its parent: a leaf itself, else its _Node."""
+        return self if self.op == "leaf" else self._n
 
     @property
     def shape(self):
@@ -157,7 +195,7 @@ def _node(
     def emit(gamma, delta):
         return tuple(rule(gamma, delta) for rule in live_rules)
 
-    return Var(value, op, [x for x, _ in live], emit, reads_gamma)
+    return Var(value, op, [x.node for x, _ in live], emit, reads_gamma)
 
 
 def _unbroadcast(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:

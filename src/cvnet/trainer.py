@@ -216,8 +216,10 @@ def train(
                     frames = [f[:, sl] for f in train_frames]
                     target = train_target[:, sl]
                     pvars = nn.param_vars(model)
-                    pred = nn.predict_frame(pvars, frames, model.activation)
-                    loss = ad.mse(pred, target, per_obs_dof)
+                    # No handle on the prediction: only the residual it leaves
+                    # in the loss root outlives the forward pass.
+                    loss = ad.mse(nn.predict_frame(pvars, frames, model.activation), target,
+                                  per_obs_dof)
                     if not np.isfinite(loss.value.real):
                         raise ad.NumericError("non-finite training loss")
                     ad.backward(loss)
@@ -226,7 +228,7 @@ def train(
                         model.params(), grads, velocity, lr, config.momentum, config.clip
                     )
                     loss_sum += float(loss.value.real)
-                    del pred, loss  # the step's graph goes before the next one is built
+                    del loss  # the step's graph goes before the next one is built
                 val_mse = float(nn.forward_loss(model, val_frames, val_target)[0].value.real)
             if not np.isfinite(val_mse):
                 raise ad.NumericError("non-finite validation loss")

@@ -1,6 +1,8 @@
 """The differentiation engine against its finite-difference oracle."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -261,6 +263,51 @@ class TestBackward:
         store = ad.backward(loss)
         for var in (w, x, b):
             assert store[var].shape == var.value.shape
+
+
+class TestWhatAGraphHolds:
+    def test_a_dropped_interior_handle_frees_its_value(self):
+        # Nothing reads w @ x once it is summed with b: with its handle
+        # dropped, the graph must not keep its value.
+        rng = make_rng(28)
+        w = ad.Var(sample_circular_gaussian(rng, (3, 5), 1.0))
+        b = ad.Var(sample_circular_gaussian(rng, (3, 1), 1.0))
+        x = sample_circular_gaussian(rng, (5, 2), 1.0)
+        target = sample_circular_gaussian(rng, (3, 2), 1.0)
+        kept = w @ x
+        want = ad.backward(ad.mse(kept + b, target, 12))
+        want = {leaf: want[leaf].copy() for leaf in (w, b)}
+        product = w @ x
+        value = weakref.ref(product.value)
+        s = product + b
+        del product
+        assert value() is None
+        store = ad.backward(ad.mse(s, target, 12))
+        for leaf in (w, b):
+            assert store[leaf].tobytes() == want[leaf].tobytes()
+
+    def test_forward_loss_holds_only_what_the_rules_read(self):
+        # A step's graph keeps, per recurrent step, the activation's input
+        # and output (its rule and the next W_rec product read them), plus
+        # the loss residual. Every other intermediate sum, and the
+        # prediction, is freed once consumed; keeping them all would hold
+        # 16 hidden-sized arrays and three output-sized ones here.
+        m = nn.init_model(32, 64, 32, field="complex", init_scale=0.5, seed=9)
+        rng = make_rng(29)
+        frames = [sample_circular_gaussian(rng, (32, 200), 1.0) for _ in range(3)]
+        target = sample_circular_gaussian(rng, (32, 200), 1.0)
+        hidden_mb = 64 * 200 * 16 / 2**20
+        residual_mb = target.nbytes / 2**20
+        gc.collect()
+        tracemalloc.start()
+        try:
+            loss, pv = nn.forward_loss(m, frames, target)
+            held_mb = tracemalloc.get_traced_memory()[0] / 2**20
+        finally:
+            tracemalloc.stop()
+        # One more hidden-sized array of slack covers the graph's objects.
+        bound = 3 * 2 * hidden_mb + residual_mb + hidden_mb
+        assert held_mb < bound, (held_mb, bound)
 
 
 class TestSquaredNormBits:

@@ -508,10 +508,24 @@ def _real_tiny_graph(model, seed, dtype=np.float64):
 
 
 class TestRealFieldIsFloat64:
-    def test_every_node_and_cogradient_is_float64(self):
+    def test_every_node_and_cogradient_is_float64(self, monkeypatch):
+        # Interior nodes hold no value, so each value's dtype is recorded as
+        # _node builds it; the leaves are Vars and keep theirs.
+        built = []
+        node = ad._node
+
+        def recording(value, *args, **kwargs):
+            out = node(value, *args, **kwargs)
+            built.append(out.value.dtype)
+            return out
+
+        monkeypatch.setattr(ad, "_node", recording)
         m = nn.init_model(5, 3, 4, field="real", init_scale=0.8, seed=15)
         loss, pv = _real_tiny_graph(m, 97)
-        assert {n.value.dtype for n in ad._toposort(loss)} == {np.dtype(np.float64)}
+        order = ad._toposort(loss)
+        leaves = [n for n in order if n.emit is None]
+        assert len(built) == len(order) - len(leaves) > 0
+        assert set(built) | {n.value.dtype for n in leaves} == {np.dtype(np.float64)}
         for name, var in pv.items():
             assert var.value is m.params()[name]
             assert var.grad.dtype == np.float64, name
