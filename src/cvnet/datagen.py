@@ -357,11 +357,10 @@ def build_views(
     Analytic kinds, complex field: the complex frames, (256, n), complex128.
     Analytic kinds, real field: the complex frames read as float64, (512, n),
     interleaved re x_0, im x_0, re x_1, im x_1, ...
-    The input frames are views of the samples in every case, each column
-    contiguous, one sample row apart.
-
-    The target is the one copy, C-contiguous like the model's prediction,
-    so the residual pred - target runs over both in the same order.
+    The input frames and the target are views of the samples in every
+    case, each column contiguous, one sample row apart; nothing is copied.
+    autodiff.mse builds the residual pred - target in the prediction's
+    row-major layout.
     This is the one entry point from samples to model inputs (training and
     evaluation), so the finiteness of the data is checked here, once per
     call; the frames then enter the graph as unchecked constants.
@@ -370,5 +369,5 @@ def build_views(
     width = model_dims(kind, field)[0]
     if width == 2 * FRAME_LEN:
         samples = samples.view(np.float64)  # (n, 2048): each sample as its (re, im) pair
-    *frames, last = (samples[:, i * width : (i + 1) * width].T for i in range(N_FRAMES))
-    return frames, np.ascontiguousarray(last)
+    *frames, target = (samples[:, i * width : (i + 1) * width].T for i in range(N_FRAMES))
+    return frames, target

@@ -99,7 +99,8 @@ def _split_magnitude_pair(z: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
 
 
 ad.register_op(
-    ad.ElementwiseOp("ctanh", ctanh_values, _ctanh_pair, holomorphic=True, probe_radius=1.2)
+    ad.ElementwiseOp("ctanh", ctanh_values, _ctanh_pair, holomorphic=True, probe_radius=1.2,
+                     reads_input=False)
 )
 ad.register_op(
     ad.ElementwiseOp(
@@ -113,7 +114,7 @@ ad.register_op(
 
 
 def ctanh(x) -> ad.Var:
-    """Complex tanh graph node; backward reuses the cached output t."""
+    """Complex tanh graph node; backward reads only the cached output t, not z."""
     return ad.elementwise(x, "ctanh")
 
 

@@ -287,10 +287,10 @@ class TestWhatAGraphHolds:
             assert store[leaf].tobytes() == want[leaf].tobytes()
 
     def test_forward_loss_holds_only_what_the_rules_read(self):
-        # A step's graph keeps, per recurrent step, the activation's input
-        # and output (its rule and the next W_rec product read them), plus
-        # the loss residual. Every other intermediate sum, and the
-        # prediction, is freed once consumed; keeping them all would hold
+        # A step's graph keeps, per recurrent step, the activation's output
+        # (its rule and the next W_rec product read it), plus the loss
+        # residual. ctanh's input, every other intermediate sum and the
+        # prediction are freed once consumed; keeping them all would hold
         # 16 hidden-sized arrays and three output-sized ones here.
         m = nn.init_model(32, 64, 32, field="complex", init_scale=0.5, seed=9)
         rng = make_rng(29)
@@ -306,8 +306,67 @@ class TestWhatAGraphHolds:
         finally:
             tracemalloc.stop()
         # One more hidden-sized array of slack covers the graph's objects.
-        bound = 3 * 2 * hidden_mb + residual_mb + hidden_mb
+        bound = 3 * hidden_mb + residual_mb + hidden_mb
         assert held_mb < bound, (held_mb, bound)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.float64])
+    def test_ctanh_drops_its_input(self, dtype):
+        # ctanh's pair reads only its output t: with the pre-activation's
+        # handle dropped, the graph must not keep z.
+        rng = make_rng(30)
+        w, x, target = (sample_circular_gaussian(rng, shape, 0.5) for shape in ((3, 5), (5, 2), (3, 2)))
+        if dtype is np.float64:
+            w, x, target = w.real.copy(), x.real.copy(), target.real.copy()
+        w = ad.Var(w)
+        want = ad.backward(ad.mse(nn.ctanh(w @ x), target, 12))[w].copy()
+        pre = w @ x
+        value = weakref.ref(pre.value)
+        out = nn.ctanh(pre)
+        del pre
+        assert value() is None
+        assert ad.backward(ad.mse(out, target, 12))[w].tobytes() == want.tobytes()
+
+
+class TestResidualOfAView:
+    """mse on a strided view of the samples gives a contiguous copy's bytes."""
+
+    @staticmethod
+    def case(name):
+        # (prediction, target view); 131 and 70 are not multiples of the
+        # 64-column copy tile.
+        rng = make_rng(97)
+        if name == "float64-view-of-complex":
+            samples = sample_circular_gaussian(rng, (131, 100), 1.0)
+            return rng.normal(size=(100, 131)), samples.view(np.float64)[:, 100:].T
+        if name == "complex-minus-float64":
+            pred = sample_circular_gaussian(rng, (40, 131), 1.0)
+            pred.imag[:, ::3] = -0.0
+            return pred, rng.normal(size=(131, 80))[:, 40:].T
+        if name == "1-d":
+            pred = sample_circular_gaussian(rng, 70, 1.0)
+            pred.imag[::2] = -0.0
+            return pred, rng.normal(size=140)[::2]
+        return np.array(0.5 - 0.0j), np.array(-1.25)  # 0-d
+
+    NAMES = ["float64-view-of-complex", "complex-minus-float64", "1-d", "0-d"]
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_residual_bytes_and_layout(self, name):
+        pred, target = self.case(name)
+        e = ad._residual(pred, target)
+        want = pred - target.copy(order="C")
+        assert e.flags.c_contiguous and e.dtype == want.dtype
+        assert e.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("name", NAMES)
+    def test_value_and_cogradient_equal_a_contiguous_copy(self, name):
+        pred, target = self.case(name)
+        got = []
+        for t in (target, target.copy(order="C")):
+            v = ad.Var(pred)
+            loss = ad.mse(v, t, 2 * t.size)
+            got.append((loss.value.tobytes(), ad.backward(loss)[v].tobytes()))
+        assert got[0] == got[1]
 
 
 class TestSquaredNormBits:

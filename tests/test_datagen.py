@@ -499,20 +499,22 @@ class TestModelViews:
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_target_view_is_build_views_target(self, kind, field):
         # The target is the model's view of the last frame, laid out like the
-        # model's prediction.
+        # input frames: a view of the samples, not a copy.
         bundle = dg.generate_bundle(kind, 34, 3, 2, 2)
         frames, target = dg.build_views(bundle.train, kind, field)
         assert target.dtype == frames[0].dtype and target.shape == frames[0].shape
-        assert target.flags.c_contiguous
+        assert target.strides == frames[0].strides
+        assert np.shares_memory(target, bundle.train)
 
     @pytest.mark.parametrize("kind", list(dg.DatasetKind))
     @pytest.mark.parametrize("field", ["complex", "real"])
     def test_every_input_frame_is_a_view_of_the_samples(self, kind, field):
-        # Only the target is copied, once, into the prediction's layout.
+        # Nothing is copied: the target is a view as well, with the frames'
+        # strides; autodiff.mse lays the residual out like the prediction.
         bundle = dg.generate_bundle(kind, 36, 3, 2, 2)
         frames, target = dg.build_views(bundle.train, kind, field)
         assert all(np.shares_memory(f, bundle.train) for f in frames)
-        assert target.flags.c_contiguous and not np.shares_memory(target, bundle.train)
+        assert np.shares_memory(target, bundle.train) and target.strides == frames[0].strides
 
     @pytest.mark.parametrize("kind", list(dg.DatasetKind))
     def test_complex_field_is_float64_on_real_valued_kinds(self, kind):
@@ -539,7 +541,8 @@ class TestModelViews:
             assert np.shares_memory(frame, bundle.train)
             assert frame.strides == (8, 8 * dg.N_SAMPLES)
             np.testing.assert_array_equal(frame, bundle.train[:, i * 256 : (i + 1) * 256].T)
-        assert target.flags.c_contiguous and not np.shares_memory(target, bundle.train)
+        assert np.shares_memory(target, bundle.train)
+        assert target.strides == (8, 8 * dg.N_SAMPLES)
         np.testing.assert_array_equal(target, bundle.train[:, 768:].T)
 
     def test_complex_views(self):

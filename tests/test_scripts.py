@@ -112,6 +112,10 @@ def test_memory_phases_reports_every_phase(workload):
     peaks = report["peak_rss_mb"]
     assert list(peaks) == ["setup", "pass0", "pass1", "tail"]
     assert all(isinstance(v, float) and v > 0 for v in peaks.values())
+    step = report["step"]
+    assert list(step) == ["held_after_forward_mb", "peak_mb"]
+    assert all(isinstance(v, float) for v in step.values())
+    assert 0 < step["held_after_forward_mb"] <= step["peak_mb"]
 
 
 @pytest.mark.parametrize("pairs", ["0", "-1"])
