@@ -94,7 +94,9 @@ class EvaluationError(ArithmeticError):
 class _Node:
     """The value-free graph node of a non-leaf Var, held by its consumers.
 
-    grad stays None: backward() stores no interior cogradient.
+    reads_gamma: whether emit's rules read gamma; backward() passes
+    gamma=None to every other node. grad stays None: backward() stores no
+    interior cogradient.
     """
 
     __slots__ = ("op", "parents", "emit", "reads_gamma", "grad")
@@ -119,8 +121,6 @@ class Var:
     grad:  conjugate cogradient dL/d(conj z); backward() sets it on leaves and the root only.
     emit:  closure (gamma, delta) -> per-parent contributions, or None
            for leaves. gamma plays the role of dL/dz on the output wire.
-    reads_gamma: whether emit's rules read gamma; backward() passes
-           gamma=None to every other node.
 
     Var(value) makes a leaf, which is its own graph node. Every other Var
     comes from _node() and keeps op, parents, emit and reads_gamma in a
@@ -136,7 +136,6 @@ class Var:
     op = _delegated("op")
     parents = _delegated("parents")
     emit = _delegated("emit")
-    reads_gamma = _delegated("reads_gamma")
 
     def __init__(self, value, op="leaf", parents=(), emit=None, reads_gamma=False):
         self.value = promote(value)

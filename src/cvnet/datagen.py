@@ -308,22 +308,14 @@ def model_dims(kind: DatasetKind, field: str) -> tuple[int, int]:
 
     Real models on analytic data see each complex frame split into its
     real and imaginary parts, twice the width, in the samples' own memory
-    order re x_0, im x_0, re x_1, im x_1, ... (see STACKED); real models on
-    real data see the real part only.
+    order re x_0, im x_0, re x_1, im x_1, ...; real models on real data see
+    the real part only.
     """
     if field == "complex":
         return FRAME_LEN, FRAME_LEN
     if field == "real":
         return (2 * FRAME_LEN, 2 * FRAME_LEN) if kind.analytic else (FRAME_LEN, FRAME_LEN)
     raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
-
-
-# A split frame's coordinates in the stacked order re x_0 .. re x_255,
-# im x_0 .. im x_255, which checkpoints keep: position s of the stacked
-# order holds the interleaved coordinate STACKED[s], and INTERLEAVED is its
-# inverse, so stacked = interleaved[STACKED] and interleaved = stacked[INTERLEAVED].
-STACKED = np.arange(2 * FRAME_LEN).reshape(FRAME_LEN, 2).T.ravel()
-INTERLEAVED = np.argsort(STACKED)
 
 
 def _observations(samples: np.ndarray, kind: DatasetKind) -> np.ndarray:

@@ -89,7 +89,7 @@ def _tensor_grads_vs_oracle(params: dict[str, np.ndarray], build) -> float:
 def _draw_mse(rng, _k):
     pred = sample_circular_gaussian(rng, 4, 1.0)
     target = sample_circular_gaussian(rng, 4, 1.0)
-    return {"pred": pred}, lambda pv: ad.mse(pv["pred"], target, 2 * target.size)
+    return {"pred": pred}, lambda pv: nn.mse_loss(pv["pred"], target, "complex")
 
 
 def _draw_dense(rng, k):

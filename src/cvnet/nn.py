@@ -27,7 +27,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .complex_ops import COMPLEX, BlockFormat, FormatError, as_real, make_rng, sample_circular_gaussian
-from .datagen import FRAME_LEN, INTERLEAVED, STACKED
+from .datagen import FRAME_LEN
 
 # ---------------------------------------------------------------------------
 # Activations
@@ -341,9 +341,13 @@ def forward_loss(
 # interleaved order, re x_0, im x_0, re x_1, ...; files keep the stacked
 # order re x_0 .. re x_255, im x_0 .. im x_255, so a file means the same
 # whichever order a model is held in (_relayout at the file boundary).
+# Position s of the stacked order holds the interleaved coordinate
+# STACKED[s]; INTERLEAVED is its inverse, so stacked = interleaved[STACKED].
 
 _FORMAT = BlockFormat("checkpoint", b"CVNN", "<BBIIIB", 1)
 _FRAME_AXES = {"w_in": 1, "w_out": 0, "b_out": 0}
+STACKED = np.arange(2 * FRAME_LEN).reshape(FRAME_LEN, 2).T.ravel()
+INTERLEAVED = np.argsort(STACKED)
 
 
 def _relayout(field: str, params: Mapping[str, np.ndarray], order: np.ndarray) -> dict:

@@ -14,7 +14,7 @@ from functools import lru_cache
 import numpy as np
 
 from .complex_ops import COMPLEX
-from .datagen import FRAME_LEN, STACKED
+from .datagen import FRAME_LEN
 from .nn import RecurrentModel
 from .trainer import ConfigError, write_csv
 
@@ -43,17 +43,15 @@ def filter_response(model: RecurrentModel, row: int) -> np.ndarray:
     """256-point magnitude frequency response of one input-to-hidden row.
 
     Real models with split re/im inputs (512 wide) read the interleaved
-    frames of datagen.build_views; their row is put in the stacked order
-    (datagen.STACKED) and its halves recombined into the equivalent complex
-    filter w_re + i*w_im before the transform, so every response has
-    exactly 256 bins.
+    frames of datagen.build_views; their row is read back as (re, im)
+    pairs, the inverse of build_views' float64 view, giving the equivalent
+    256-tap complex filter w_re + i*w_im and a 256-bin response.
     """
     if not 0 <= row < model.hidden:
         raise ValueError(f"row must be in [0, {model.hidden}), got {row}")
     w = model.w_in[row, :]
     if w.shape[0] == 2 * FRAME_LEN:
-        w = w[STACKED]
-        w = w[:FRAME_LEN] + 1j * w[FRAME_LEN:]
+        w = w.view(COMPLEX)
     return np.abs(dft(w))
 
 

@@ -144,9 +144,11 @@ def _check_dims(model: nn.RecurrentModel, kind: datagen.DatasetKind) -> None:
         )
 
 
-def _check_nonempty(samples: np.ndarray, what: str) -> None:
+def _views(samples: np.ndarray, kind: datagen.DatasetKind, field: str, what: str):
+    """datagen.build_views of a partition, which must hold observations."""
     if len(samples) == 0:
         raise ConfigError(f"{what} has no observations")
+    return datagen.build_views(samples, kind, field)
 
 
 def _batch_slices(n: int, batch_size: int) -> list[slice]:
@@ -156,8 +158,7 @@ def _batch_slices(n: int, batch_size: int) -> list[slice]:
 def evaluate(model: nn.RecurrentModel, samples: np.ndarray, kind: datagen.DatasetKind) -> float:
     """Mean squared error per real DOF over a partition; no gradients."""
     _check_dims(model, kind)
-    _check_nonempty(samples, "the partition to evaluate")
-    frames, target = datagen.build_views(samples, kind, model.field)
+    frames, target = _views(samples, kind, model.field, "the partition to evaluate")
     loss, _ = nn.forward_loss(model, frames, target)
     return float(loss.value.real)
 
@@ -168,8 +169,7 @@ def zero_baseline_mse(samples: np.ndarray, kind: datagen.DatasetKind, field: str
     The target comes from build_views, as in training and evaluation, so
     every sample is checked for finiteness.
     """
-    _check_nonempty(samples, "the baseline partition")
-    target = datagen.build_views(samples, kind, field)[1]
+    target = _views(samples, kind, field, "the baseline partition")[1]
     return float(nn.mse_loss(np.zeros_like(target), target, field).value)
 
 
@@ -186,10 +186,9 @@ def train(
     accumulated.
     """
     _check_dims(model, data.kind)
-    _check_nonempty(data.train, "the training partition")
-    _check_nonempty(data.val, "the validation partition")
-    train_frames, train_target = datagen.build_views(data.train, data.kind, model.field)
-    val_frames, val_target = datagen.build_views(data.val, data.kind, model.field)
+    train_frames, train_target = _views(data.train, data.kind, model.field,
+                                        "the training partition")
+    val_frames, val_target = _views(data.val, data.kind, model.field, "the validation partition")
     n_train = data.train.shape[0]
     slices = _batch_slices(n_train, config.batch_size)
     # Batch objective: sum of per-observation errors (each already averaged

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cvnet import datagen as dg
+from cvnet import nn
 from cvnet.complex_ops import FormatError, make_rng
 from cvnet.spectral import dft, negative_bins
 
@@ -564,8 +565,8 @@ class TestModelViews:
         np.testing.assert_array_equal(target[1::2, 1], bundle.train[1, 768:].imag)
         # STACKED and INTERLEAVED move between this order and [re; im].
         stacked = np.concatenate([bundle.train[0, :256].real, bundle.train[0, :256].imag])
-        np.testing.assert_array_equal(frames[0][dg.STACKED, 0], stacked)
-        np.testing.assert_array_equal(stacked[dg.INTERLEAVED], frames[0][:, 0])
+        np.testing.assert_array_equal(frames[0][nn.STACKED, 0], stacked)
+        np.testing.assert_array_equal(stacked[nn.INTERLEAVED], frames[0][:, 0])
 
     def test_real_view_of_analytic_samples_in_any_memory_order(self):
         # Column-major samples are copied once, into rows that can be read

@@ -652,8 +652,8 @@ class TestCheckpoint:
         want = nn.predict_frame(nn.param_vars(old), stacked, old.activation).value
         frames, _ = dg.build_views(samples, kind, "real")
         got = nn.predict_frame(nn.param_vars(loaded), frames, loaded.activation).value
-        np.testing.assert_allclose(got[dg.STACKED], want)
-        np.testing.assert_array_equal(loaded.w_in[:, dg.STACKED], old.w_in)
-        np.testing.assert_array_equal(loaded.b_out[dg.STACKED], old.b_out)
+        np.testing.assert_allclose(got[nn.STACKED], want)
+        np.testing.assert_array_equal(loaded.w_in[:, nn.STACKED], old.w_in)
+        np.testing.assert_array_equal(loaded.b_out[nn.STACKED], old.b_out)
         nn.save_model(loaded, tmp_path / "again.cvnn")
         assert (tmp_path / "again.cvnn").read_bytes() == path.read_bytes()

@@ -100,24 +100,6 @@ def test_protocol_usage_error_is_one_line(tmp_path, args):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("workload", ["full-complex", "full-real"])
-def test_memory_phases_reports_every_phase(workload):
-    proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "memory_phases.py"), "--workload", workload,
-         "--quick"], capture_output=True, text=True, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
-    assert report["workload"] == workload and report["quick"] is True
-    peaks = report["peak_rss_mb"]
-    assert list(peaks) == ["setup", "pass0", "pass1", "tail"]
-    assert all(isinstance(v, float) and v > 0 for v in peaks.values())
-    step = report["step"]
-    assert list(step) == ["held_after_forward_mb", "peak_mb"]
-    assert all(isinstance(v, float) for v in step.values())
-    assert 0 < step["held_after_forward_mb"] <= step["peak_mb"]
-
-
 @pytest.mark.parametrize("pairs", ["0", "-1"])
 def test_bench_ab_without_pairs_is_a_usage_error(tmp_path, pairs):
     # An empty report would read as a pass, so no pairs is refused up front.

@@ -81,6 +81,11 @@ class TestFilterResponse:
         mags = spectral.filter_response(self.model_with_row(row, "real", 512), 0)
         np.testing.assert_allclose(mags, np.abs(spectral.dft(c)), atol=0)
         assert np.argmax(mags) == 10
+        # Reading the pairs back is bit-exact, signed zeros included.
+        row[:8] = [0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 0.0, 0.0]
+        row[300:304] = [-0.0, 1.5, 0.0, -2.5]
+        mags = spectral.filter_response(self.model_with_row(row, "real", 512), 0)
+        assert mags.tobytes() == np.abs(spectral.dft(row[0::2] + 1j * row[1::2])).tobytes()
 
     def test_row_out_of_range(self):
         m = nn.init_model(256, 4, 256, field="complex", seed=4)
