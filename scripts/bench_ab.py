@@ -16,13 +16,15 @@ parent's by more than the metric's bound in BENCHMARK.json, and whether
 the metric is unresolved: the parent's IQR exceeds the bound times its
 |median| and not every change run beats every parent run. The report lists
 the flagged and the unresolved metrics as workload/metric; plus both
-SHAs, each side's environment block and whether both sides ran the same
-source (`same_source`, from the env blocks' `src_sha256`; a warning is
-printed when they did, as when --parent is HEAD and the working tree is
-clean). With --trace, each side also makes one traced run per workload
-(`perfbench/run.py --trace 1 --seed 1`), and the workload's `per_layer`
-entry holds each per-layer metric of BENCHMARK.json for both sides with
-its relative change; without it `per_layer` is null. Exit code 0 means
+SHAs, each side's source size (`src_lines`, the total that `wc -l
+src/cvnet/*.py` prints), each side's environment block and whether both
+sides ran the same source (`same_source`, from the env blocks'
+`src_sha256`; a warning is printed when they did, as when --parent is
+HEAD and the working tree is clean). With --trace, each side also makes
+one traced run per workload (`perfbench/run.py --trace 1 --seed 1`), and
+the workload's `per_layer` entry holds each per-layer metric of
+BENCHMARK.json for both sides with its relative change; without it
+`per_layer` is null. Exit code 0 means
 every run passed its checks and no metric was flagged; an unresolved
 metric does not change it.
 """
@@ -52,6 +54,11 @@ def export(rev: str, dest: Path) -> None:
     safe = {"filter": "data"} if hasattr(tarfile, "data_filter") else {}
     with tarfile.open(fileobj=io.BytesIO(git("archive", rev)), mode="r:") as tar:
         tar.extractall(dest, **safe)
+
+
+def src_lines(root: Path) -> int:
+    """Newline count of root/src/cvnet/*.py, the total `wc -l` prints."""
+    return sum(p.read_bytes().count(b"\n") for p in (root / "src" / "cvnet").glob("*.py"))
 
 
 def run_once(root: Path, workload: str, seed: int, seconds: float, quick: bool,
@@ -157,7 +164,8 @@ def main(argv=None) -> int:
     report = {
         "parent": {"rev": args.parent, "sha": parent_sha},
         "change": {"sha": git("rev-parse", "HEAD").decode().strip(),
-                   "dirty": bool(git("status", "--porcelain").strip())},
+                   "dirty": bool(git("status", "--porcelain").strip()),
+                   "src_lines": src_lines(ROOT)},
         "pairs": args.pairs, "seconds": seconds, "quick": args.quick,
         "workloads": {},
     }
@@ -165,6 +173,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         parent_root = Path(tmp) / "parent"
         export(parent_sha, parent_root)
+        report["parent"]["src_lines"] = src_lines(parent_root)
         roots = {"parent": parent_root, "change": ROOT}
         for workload in workloads:
             runs = {side: [] for side in SIDES}

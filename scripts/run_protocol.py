@@ -90,10 +90,12 @@ def main(argv=None) -> int:
                  "--batch-size", args.batch_size, "--seed", args.seed + 1, "--out", out / field)
             print(f"[{kind}/{field}] search took {time.time() - t0:.0f}s", flush=True)
             model = out / field / "best_model.cvnn"
+            filters = out / f"filters_{field}.csv"
             if model.exists():
                 _cli("eval", "--model", model, "--data", data, "--partition", "test")
-                _cli("filters", "--model", model, "--rows", 3,
-                     "--out", out / f"filters_{field}.csv")
+                _cli("filters", "--model", model, "--rows", 3, "--out", filters)
+            else:  # no earlier run's responses beside this run's search
+                filters.unlink(missing_ok=True)
     return 0
 
 

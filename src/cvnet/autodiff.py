@@ -45,13 +45,13 @@ rules give half the ordinary gradient (Kreutz-Delgado, arXiv 0906.4835).
 Only the leaves' cogradients and the root's seed outlive a pass; each
 interior cogradient is dropped once its node has emitted, its last use.
 
-Only rules with Jc != 0 read gamma: those of the non-holomorphic
-elementwise ops and of the real-root ops. backward() computes
-gamma = conj(delta) for those nodes alone and passes gamma=None to the
-rest (linear ops, holomorphic activations), so a holomorphic network's
-backward pass takes no conjugate of a cogradient. Finiteness is checked
-once per pass, on the leaf cogradients; only when that check fails is the
-pass re-run, checking every node, to name where a NaN or inf first appeared.
+So backward() calls the root's emit with (seed, 0) and every other node's
+with (None, delta). The rules with Jc != 0 (non-holomorphic elementwise
+ops, a squared-error node below the root) take conj(delta) themselves, so
+a holomorphic network's backward pass conjugates no cogradient.
+Finiteness is checked once per pass, on the leaf cogradients; only when
+that check fails is the pass re-run, checking every node, to name where a
+NaN or inf first appeared.
 
 wirtinger_pair_numeric() computes (J, Jc) by central finite differences on
 the real and imaginary axes. It is the one independent reference: every
@@ -94,18 +94,16 @@ class EvaluationError(ArithmeticError):
 class _Node:
     """The value-free graph node of a non-leaf Var, held by its consumers.
 
-    reads_gamma: whether emit's rules read gamma; backward() passes
-    gamma=None to every other node. grad stays None: backward() stores no
-    interior cogradient.
+    backward() calls emit with gamma=None unless the node is the root.
+    grad stays None: backward() stores no interior cogradient.
     """
 
-    __slots__ = ("op", "parents", "emit", "reads_gamma", "grad")
+    __slots__ = ("op", "parents", "emit", "grad")
 
-    def __init__(self, op, parents, emit, reads_gamma):
+    def __init__(self, op, parents, emit):
         self.op = op
         self.parents = tuple(parents)
         self.emit = emit
-        self.reads_gamma = reads_gamma
         self.grad = None
 
 
@@ -120,12 +118,13 @@ class Var:
     value: float64 or complex128 ndarray (any shape, scalars are shape ()).
     grad:  conjugate cogradient dL/d(conj z); backward() sets it on leaves and the root only.
     emit:  closure (gamma, delta) -> per-parent contributions, or None
-           for leaves. gamma plays the role of dL/dz on the output wire.
+           for leaves. gamma is dL/dz on the output wire: the seed at the
+           root, None below it, where it is conj(delta).
 
     Var(value) makes a leaf, which is its own graph node. Every other Var
-    comes from _node() and keeps op, parents, emit and reads_gamma in a
-    value-free _Node (.node), so the graph keeps its value only while the
-    caller holds the Var or a rule reads it.
+    comes from _node() and keeps op, parents and emit in a value-free
+    _Node (.node), so the graph keeps its value only while the caller
+    holds the Var or a rule reads it.
     """
 
     __slots__ = ("value", "grad", "_n")
@@ -137,12 +136,12 @@ class Var:
     parents = _delegated("parents")
     emit = _delegated("emit")
 
-    def __init__(self, value, op="leaf", parents=(), emit=None, reads_gamma=False):
+    def __init__(self, value, op="leaf", parents=(), emit=None):
         self.value = promote(value)
         if op == "leaf":
             ensure_finite(self.value, "leaf value")
         self.grad = None
-        self._n = _Node(op, parents, emit, reads_gamma)
+        self._n = _Node(op, parents, emit)
 
     @property
     def node(self):
@@ -179,16 +178,13 @@ def _value(x) -> np.ndarray:
     return x.value if isinstance(x, Var) else promote(x)
 
 
-def _node(
-    value, op: str, operands: Sequence, rules: Sequence[Callable], reads_gamma: bool = False
-) -> Var:
+def _node(value, op: str, operands: Sequence, rules: Sequence[Callable]) -> Var:
     """The one node builder: every non-leaf Var of the engine is made here.
 
     rules[k](gamma, delta) is the contribution the op pushes to operands[k].
     Operands that are Vars become the node's parents. Any other operand is
     a constant: it gets no parent edge, its rule is never run and it has no
-    cogradient. Rules that read gamma must say so with reads_gamma; the
-    others are called with gamma=None.
+    cogradient. Below the root gamma is None and stands for conj(delta).
     """
     live = [(x, rule) for x, rule in zip(operands, rules) if isinstance(x, Var)]
     live_rules = [rule for _, rule in live]
@@ -196,7 +192,7 @@ def _node(
     def emit(gamma, delta):
         return tuple(rule(gamma, delta) for rule in live_rules)
 
-    return Var(value, op, [x.node for x, _ in live], emit, reads_gamma)
+    return Var(value, op, [x.node for x, _ in live], emit)
 
 
 def _unbroadcast(arr: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -270,31 +266,26 @@ def elementwise(x, name: str) -> Var:
     y = promote(op.fn(_value(x)))
     z = _value(x) if op.reads_input else None  # the rule keeps only what the pair reads
 
-    def rule(gamma, delta):
+    def rule(gamma, delta):  # never the root, so gamma is None
         j, jc = op.pair(z, y)
         # delta * conj(j) in one buffer, in this operand order at every size:
         # numpy's temporary elision would compute conj(j) * delta on large
         # arrays, which rounds differently. A holomorphic op has jc = 0.
         cj = np.conjugate(j, out=np.empty_like(j, dtype=np.result_type(delta, j)))
         np.multiply(delta, cj, out=cj)
-        return cj if op.holomorphic else gamma * jc + cj
+        return cj if op.holomorphic else delta.conj() * jc + cj
 
-    return _node(y, name, (x,), (rule,), reads_gamma=not op.holomorphic)
+    return _node(y, name, (x,), (rule,))
 
 
 def _squared_error(op: str, x, e: np.ndarray, n: int) -> Var:
     """Real scalar squared_norm(e) / n of x's residual e; as the root it emits e / n."""
 
-    def rule(gamma, delta):
-        # numpy divides a complex e by (n, 0) as each part times 1/n, so one
-        # float64 pass over e's parts gives its bits (up to a zero's sign)
-        # without a complex division.
-        out = e / n if e.dtype != COMPLEX else (
-            e.reshape(-1).view(np.float64) * (1.0 / n)).view(COMPLEX).reshape(e.shape)
-        scale = gamma + delta
-        return out if scale == 1 else scale * out
+    def rule(gamma, delta):  # gamma is None below the root, e.g. sum_abs2(mse(...))
+        scale = (delta.conj() if gamma is None else gamma) + delta
+        return e / n if scale == 1 else scale * (e / n)
 
-    return _node(squared_norm(e) / n, op, (x,), (rule,), reads_gamma=True)
+    return _node(squared_norm(e) / n, op, (x,), (rule,))
 
 
 def sum_abs2(x) -> Var:
@@ -370,13 +361,6 @@ def _check_real_root(root: Var) -> None:
         )
 
 
-def _channels(node: Var, root: Var, delta: np.ndarray) -> tuple[np.ndarray | None, np.ndarray]:
-    """(gamma, delta) on a node's output wire; the root's delta is the seed, its pair (seed, 0)."""
-    if node is root:
-        return delta, np.zeros((), dtype=delta.dtype)
-    return (delta.conj() if node.reads_gamma else None), delta
-
-
 def _propagate(order: list[Var], root: Var, check: bool = False) -> dict[Var, np.ndarray]:
     """Push cogradients from root.grad down `order`; return {leaf: cogradient}.
 
@@ -395,7 +379,9 @@ def _propagate(order: list[Var], root: Var, check: bool = False) -> dict[Var, np
         if node.emit is None:
             leaves[node] = delta
             continue
-        for parent, c in zip(node.parents, node.emit(*_channels(node, root, delta))):
+        # The root's pair is (seed, 0); below it gamma = conj(delta), which the rules take.
+        pair = (delta, np.zeros((), delta.dtype)) if node is root else (None, delta)
+        for parent, c in zip(node.parents, node.emit(*pair)):
             if check and not np.all(np.isfinite(c)):
                 raise NumericError(f"non-finite gradient emitted by node '{node.op}'")
             prev = pending.get(id(parent))

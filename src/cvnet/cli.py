@@ -98,6 +98,8 @@ def cmd_train(args) -> int:
     trainer.write_curves_csv(result, out / "curves.csv")
     if result.model is not None:
         nn.save_model(result.model, out / "model.cvnn")
+    else:  # an earlier run's checkpoint must not pass for this one's
+        (out / "model.cvnn").unlink(missing_ok=True)
     print(f"status={result.status} epochs={len(result.history)} best_val={result.best_val:.6e}")
     return 0
 

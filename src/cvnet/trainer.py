@@ -412,14 +412,19 @@ def write_search_outputs(results: Sequence[TrialResult], out) -> TrialResult | N
 
     The checkpoint is the first ranked trial that kept a model, which is
     returned; None (and no checkpoint) when every trial diverged before
-    completing an epoch.
+    completing an epoch. An earlier run's trial curves and checkpoint are
+    removed, so out holds this run's files only.
     """
     out = Path(out)
     out.mkdir(parents=True, exist_ok=True)
     write_search_csv(results, out / "search.csv")
+    for path in out.glob("trial_*.csv"):  # an earlier run's trials may differ from these
+        path.unlink()
     for r in results:
         write_curves_csv(r, out / f"trial_{r.trial_id:03d}.csv")
     best = next((r for r in results if r.model is not None), None)
     if best is not None:
         nn.save_model(best.model, out / "best_model.cvnn")
+    else:
+        (out / "best_model.cvnn").unlink(missing_ok=True)
     return best

@@ -132,6 +132,26 @@ class TestBackward:
         want = seed * ((pred - target) / (3 * max(pred.size, 1)))
         assert p.grad.dtype == want.dtype and p.grad.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("part", [np.real, np.asarray], ids=["float64", "complex128"])
+    def test_squared_error_below_the_root(self, part):
+        # Below the root a squared-error node gets gamma=None and takes
+        # conj(delta) itself: d(L^2)/d(conj p) = 2 L e / n.
+        rng = make_rng(19)
+        p0, t = (part(sample_circular_gaussian(rng, (3, 2), 1.0)) for _ in range(2))
+        n = 2 * p0.size
+
+        def graph(u):
+            p = ad.Var(u)
+            return p, ad.sum_abs2(ad.mse(p, t, n))
+
+        p, root = graph(p0)
+        ad.backward(root)
+        oracle = ad.wirtinger_pair_numeric(lambda u: graph(part(u))[1].value, p0)
+        np.testing.assert_allclose(p.grad, oracle.jc.reshape(p0.shape), rtol=1e-6, atol=1e-9)
+        loss = ad.mse(ad.Var(p0), t, n).value
+        want = (2 * loss) * ((p0 - t) / n)
+        assert p.grad.dtype == want.dtype and p.grad.tobytes() == want.tobytes()
+
     def test_seed_stored_at_root(self):
         z = ad.Var(scalar(1 + 1j))
         loss = ad.sum_abs2(z)

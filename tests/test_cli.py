@@ -113,6 +113,18 @@ class TestTrainEvalFilters:
         for arr in model.params().values():
             assert np.all(arr.imag == 0)
 
+    def test_rerun_that_keeps_no_model_removes_the_old_checkpoint(self, data_file, tmp_path):
+        def train(lr0):
+            return run(["train", "--data", str(data_file), "--field", "complex",
+                        "--hidden", "4", "--epochs", "2", "--lr0", lr0,
+                        "--half-life", "50", "--init-scale", "0.5",
+                        "--batch-size", "20", "--seed", "9", "--out", str(tmp_path)])
+
+        assert train("1e-3") == 0 and (tmp_path / "model.cvnn").exists()
+        assert train("1e300") == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["curves.csv"]
+        assert (tmp_path / "curves.csv").read_text().splitlines() == ["epoch,lr,train_mse,val_mse"]
+
 
 class TestEvalReadsOnePartition:
     def test_same_bits_and_train_partition_not_held(self, tmp_path, capsys):

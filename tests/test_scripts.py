@@ -158,6 +158,10 @@ def test_bench_ab_report_schema(tmp_path):
     assert set(report) == {"parent", "change", "pairs", "seconds", "quick", "workloads",
                            "flagged", "unresolved"}
     assert all(len(report[side]["sha"]) == 40 for side in ("parent", "change"))
+    files = sorted(str(p) for p in (ROOT / "src" / "cvnet").glob("*.py"))
+    wc = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True).stdout
+    assert report["change"]["src_lines"] == int(wc.split()[-2])  # the "N total" line
+    assert isinstance(report["parent"]["src_lines"], int) and report["parent"]["src_lines"] > 0
     entry = report["workloads"]["full-real"]
     assert set(entry) == {"seeds", "env", "same_source", "per_layer", "failed_runs", "metrics",
                           "runs"}

@@ -150,15 +150,24 @@ class TestTrain:
         a, b = run(), run()
         assert a == b
 
-    def test_learns_fixed_frequency_control_task(self):
+    @staticmethod
+    def learns_control_task(activation):
         data = fixed_f0_bundle()
         base = trainer.zero_baseline_mse(data.val, data.kind, "complex")
         cfg = trainer.TrainConfig(lr0=2e-3, half_life=1000.0, init_scale=0.3,
                                   epochs=120, batch_size=50)
-        model = nn.init_model(256, 32, 256, field="complex", init_scale=0.3, seed=3)
+        model = nn.init_model(256, 32, 256, field="complex", init_scale=0.3, seed=3,
+                              activation=activation)
         result = trainer.train(model, data, cfg)
         assert result.status == "completed"
         assert result.best_val < 0.6 * base
+
+    def test_learns_fixed_frequency_control_task(self):
+        self.learns_control_task(nn.ActivationKind.COMPLEX_TANH)
+
+    def test_learns_fixed_frequency_control_task_split_magnitude(self):
+        # The non-holomorphic activation: its backward rule takes conj(delta).
+        self.learns_control_task(nn.ActivationKind.SPLIT_MAGNITUDE)
 
     def test_best_val_is_min_over_epochs(self, small_data):
         cfg = trainer.TrainConfig(lr0=1e-3, half_life=20.0, init_scale=0.4,
@@ -531,3 +540,9 @@ class TestWriteSearchOutputs:
         assert (tmp_path / "trial_000.csv").read_text().splitlines() == [
             "epoch,lr,train_mse,val_mse"
         ]
+
+    def test_rerun_leaves_only_its_own_files(self, tmp_path):
+        model = nn.init_model(256, 2, 256, field="complex", seed=1)
+        trainer.write_search_outputs([self.diverged(i, model) for i in range(3)], tmp_path)
+        assert trainer.write_search_outputs([self.diverged(0, None)], tmp_path) is None
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["search.csv", "trial_000.csv"]
