@@ -24,7 +24,12 @@ HEAD and the working tree is clean). With --trace, each side also makes
 one traced run per workload (`perfbench/run.py --trace 1 --seed 1`), and
 the workload's `per_layer` entry holds each per-layer metric of
 BENCHMARK.json for both sides with its relative change; without it
-`per_layer` is null. Exit code 0 means
+`per_layer` is null. With --claim WORKLOAD/METRIC, `claim` holds the
+gain rule every performance claim is judged by: the change's wins, the
+pairs run, both medians, the parent's IQR and `met`, which is true when
+the change wins at least nine tenths of the pairs (ties count for
+neither) and its median is better than the parent's by more than the
+parent's IQR; without it `claim` is null. Exit code 0 means
 every run passed its checks and no metric was flagged; an unresolved
 metric does not change it.
 """
@@ -127,6 +132,15 @@ def compare(spec: dict, runs: dict) -> dict:
     return out
 
 
+def claim(metric: dict, pairs: int) -> dict:
+    """The gain rule for one compare() entry; a pair that failed counts as lost."""
+    base, new = metric["parent"]["median"], metric["change"]["median"]
+    iqr = metric["parent"]["iqr"]
+    gap = None if None in (base, new) else (base - new if metric["better"] == "lower" else new - base)
+    return {"wins": metric["wins"], "pairs": pairs, "parent_median": base, "change_median": new,
+            "parent_iqr": iqr, "met": metric["wins"] >= 0.9 * pairs and gap is not None and gap > iqr}
+
+
 def per_layer(spec: dict, traced: dict) -> dict:
     """Both sides' values of every per-layer metric, from one traced run each."""
     out = {"ok": {side: traced[side]["ok"] for side in SIDES}, "seed": traced["parent"]["seed"],
@@ -148,6 +162,8 @@ def main(argv=None) -> int:
     ap.add_argument("--quick", action="store_true", help="tiny shapes; checks the plumbing only")
     ap.add_argument("--trace", action="store_true",
                     help="add one traced run per side and workload for per-layer metrics")
+    ap.add_argument("--claim", metavar="WORKLOAD/METRIC",
+                    help="judge a claimed gain on this end-to-end metric by the 9-of-10 rule")
     args = ap.parse_args(argv)
     if args.pairs < 1:  # an empty report would read as a pass
         ap.exit(2, f"{ap.prog}: error: argument --pairs: must be >= 1, got {args.pairs}\n")
@@ -159,6 +175,11 @@ def main(argv=None) -> int:
             ap.exit(2, f"{ap.prog}: error: argument --workloads: unknown workload {name!r} "
                        f"(choose from {', '.join(known)})\n")
     workloads = args.workloads or known
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition("/")
+        if workload not in workloads or metric not in {m["name"] for m in spec["end_to_end"]}:
+            ap.exit(2, f"{ap.prog}: error: argument --claim: {args.claim!r} is not a run "
+                       "workload/end-to-end metric\n")
     seconds = spec["run_seconds"] if args.seconds is None else args.seconds
     parent_sha = git("rev-parse", args.parent).decode().strip()
     report = {
@@ -167,7 +188,7 @@ def main(argv=None) -> int:
                    "dirty": bool(git("status", "--porcelain").strip()),
                    "src_lines": src_lines(ROOT)},
         "pairs": args.pairs, "seconds": seconds, "quick": args.quick,
-        "workloads": {},
+        "workloads": {}, "claim": None,
     }
     seeds = range(1, args.pairs + 1)
     with tempfile.TemporaryDirectory() as tmp:
@@ -207,12 +228,18 @@ def main(argv=None) -> int:
     for key, field in (("flagged", "worse_beyond_bound"), ("unresolved", "unresolved")):
         report[key] = [f"{w}/{name}" for w, entry in report["workloads"].items()
                        for name, m in entry["metrics"].items() if m[field]]
+    if args.claim is not None:
+        workload, _, metric = args.claim.partition("/")
+        report["claim"] = {"workload": workload, "metric": metric,
+                           **claim(report["workloads"][workload]["metrics"][metric], args.pairs)}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     failed = sum(n for entry in report["workloads"].values() for n in entry["failed_runs"].values())
     failed += sum(not ok for entry in report["workloads"].values() if entry["per_layer"]
                   for ok in entry["per_layer"]["ok"].values())
     print(f"wrote {args.out}: {failed} failed run(s), flagged {report['flagged'] or 'nothing'}, "
-          f"unresolved {report['unresolved'] or 'nothing'}", file=sys.stderr)
+          f"unresolved {report['unresolved'] or 'nothing'}"
+          + ("" if report["claim"] is None else f", claim met: {report['claim']['met']}"),
+          file=sys.stderr)
     return 0 if not failed and not report["flagged"] else 1
 
 

@@ -29,12 +29,20 @@ synthesize() renders a spec without a transcendental per sample: the
 index split t = 32a + b turns the sum into one 32 x 32 matrix product per
 block of 4096 components, built from 64 cos/sin pairs per component, so
 its cost grows with the component count at 1/16 of the direct sum's
-transcendentals and its memory is bounded. Samples differ from the
-direct per-sample sum by less than 1e-12 of the signal's peak.
+transcendentals. Samples differ from the direct per-sample sum by less
+than 1e-12 of the signal's peak.
+
+generate_bundle renders a partition in batches: the components of many
+observations share one pass of that block math. An observation of more
+than one block is streamed instead, its components drawn a block at a
+time, so generation's memory is bounded by the block whatever the
+harmonic count; a drawn WaveformSpec, by contrast, holds every
+component. Each row has the bytes synthesize(draw_spec(...)) gives it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from enum import Enum
@@ -83,21 +91,26 @@ class WaveformSpec:
     def __post_init__(self):
         if not (len(self.freqs) == len(self.amps) == len(self.phases)):
             raise ValueError("component arrays must have equal length")
-        if len(self.freqs) == 0:
-            return
-        # At most two reductions per array keep this cheap; it runs once per drawn
-        # observation. A NaN fails every comparison, so each test is written
-        # to pass only on in-range values.
-        if not (0 <= self.freqs.min() and self.freqs.max() < NYQUIST):
-            raise ValueError("component frequencies must lie in [0, 0.5)")
-        if not (0 < self.amps.min() and self.amps.max() < np.inf):
-            raise ValueError("component amplitudes must be positive and finite")
-        if not np.isfinite(self.phases).all():
-            raise ValueError("component phases must be finite")
+        _check_components(self.freqs, self.amps, self.phases)
 
     @property
     def fundamental(self) -> float:
         return float(self.freqs[0])
+
+
+def _check_components(freqs, amps, phases) -> None:
+    """WaveformSpec's rules on equal-length component arrays, of one or many observations."""
+    if len(freqs) == 0:
+        return
+    # At most two reductions per array keep this cheap; it runs once per spec
+    # and once per rendered batch. A NaN fails every comparison, so each
+    # test is written to pass only on in-range values.
+    if not (0 <= freqs.min() and freqs.max() < NYQUIST):
+        raise ValueError("component frequencies must lie in [0, 0.5)")
+    if not (0 < amps.min() and amps.max() < np.inf):
+        raise ValueError("component amplitudes must be positive and finite")
+    if not np.isfinite(phases).all():
+        raise ValueError("component phases must be finite")
 
 
 # synthesize() splits the sample index as t = _SPLIT * a + b, a and b in
@@ -106,6 +119,70 @@ class WaveformSpec:
 _SPLIT = 32  # N_SAMPLES == _SPLIT ** 2
 _SPLIT_STEPS = np.concatenate([_SPLIT * np.arange(_SPLIT), np.arange(_SPLIT)]).astype(np.float64)
 _BLOCK = 4096  # components per block: 4 MB of complex phasors
+_BATCH_OBS = 64  # observations per batch: 1 MB of 32 x 32 accumulators
+
+
+class _Workspace:
+    """Scratch that _render reuses from block to block.
+
+    Up to n_components components of up to n_obs observations. Rendering
+    into the same arrays batch after batch touches the same pages, where
+    fresh multi-megabyte temporaries per batch would be handed back to the
+    OS and faulted in again.
+    """
+
+    def __init__(self, n_components: int, n_obs: int):
+        self.theta = np.empty((n_components, 2 * _SPLIT))
+        self.phasors = np.empty((n_components, 2 * _SPLIT), dtype=COMPLEX)
+        self.prods = np.empty((n_obs, _SPLIT, _SPLIT), dtype=COMPLEX)
+        self.accs = np.empty((n_obs, _SPLIT, _SPLIT), dtype=COMPLEX)
+
+
+def _render(freqs, amps, phases, counts, work: _Workspace) -> None:
+    """Add one block of components, from one or many observations, to their accumulators.
+
+    The components are laid out observation after observation, counts[j]
+    of them for the observation whose 32 x 32 accumulator is
+    work.accs[j]. The block is checked by WaveformSpec's rules, then the
+    turns, cos/sin and amplitudes run once over all of it. A run of
+    observations with equal counts shares one stacked outer.T @ inner,
+    whose matrices have the shape and operand layout each observation's
+    product has when it is rendered alone, so every observation gets the
+    same bits either way.
+    """
+    _check_components(freqs, amps, phases)
+    theta, phasors = work.theta[:len(freqs)], work.phasors[:len(freqs)]
+    np.multiply(freqs[:, None], _SPLIT_STEPS, out=theta)  # (K, 64) cycles
+    np.rint(theta, out=phasors.real)  # whole turns, parked where cos goes next
+    theta -= phasors.real
+    theta *= 2.0 * np.pi
+    theta[:, :_SPLIT] += phases[:, None]
+    np.cos(theta, out=phasors.real)
+    np.sin(theta, out=phasors.imag)
+    outer, inner = phasors[:, :_SPLIT], phasors[:, _SPLIT:]
+    outer *= amps[:, None]
+    lo = j = 0
+    for k, run in itertools.groupby(counts):
+        m = len(list(run))
+        hi = lo + m * k
+        stacked = outer[lo:hi].reshape(m, k, _SPLIT).transpose(0, 2, 1)
+        prods = np.matmul(stacked, inner[lo:hi].reshape(m, k, _SPLIT), out=work.prods[:m])
+        work.accs[j:j + m] += prods
+        lo, j = hi, j + m
+
+
+def _render_stream(blocks, analytic: bool, work: _Workspace) -> np.ndarray:
+    """One observation's samples from its (freqs, amps, phases) blocks, summed in order.
+
+    Only the block being rendered is held, so a drawn observation's memory
+    is bounded by the block, not by its harmonic count (_gen_partition).
+    """
+    acc = work.accs[:1]
+    acc[...] = 0.0
+    for freqs, amps, phases in blocks:
+        _render(freqs, amps, phases, (len(freqs),), work)
+    out = acc.reshape(N_SAMPLES)
+    return out.copy() if analytic else out.real.copy()
 
 
 def synthesize(spec: WaveformSpec) -> np.ndarray:
@@ -125,30 +202,66 @@ def synthesize(spec: WaveformSpec) -> np.ndarray:
     phase folded in) and an inner (K x 32) phasor matrix, 64 cos/sin pairs
     per component, and outer.T @ inner read row-major is the block's 1024
     samples. Arguments lose their whole turns before the phase is added,
-    which is exact and keeps them small. Blocks hold 4096 components
-    and are summed in a fixed order, so memory stays bounded for any
-    harmonic count and equal specs give equal bits.
+    which is exact and keeps them small. Blocks hold 4096 components and
+    are summed in a fixed order, so the rendering's scratch is bounded for
+    any harmonic count (the spec itself is not) and equal specs give equal
+    bits. generate_bundle renders through the same block code and gives
+    every observation the bits synthesize(draw_spec(...)) gives it.
 
     Over 3000 draws of each kind, samples differ from the direct
     per-sample sum by at most 9.3e-13 of the signal's peak, and sit closer
     to an extended-precision sum than the direct sum does (1.9e-13 against
     6.8e-13 of the peak, 300 draws).
     """
-    acc = np.zeros((_SPLIT, _SPLIT), dtype=COMPLEX)
-    for lo in range(0, len(spec.freqs), _BLOCK):
-        block = slice(lo, lo + _BLOCK)
-        turns = spec.freqs[block, None] * _SPLIT_STEPS  # (K, 64) cycles
-        turns -= np.rint(turns)
-        theta = 2.0 * np.pi * turns
-        theta[:, :_SPLIT] += spec.phases[block, None]
-        phasors = np.empty(theta.shape, dtype=COMPLEX)
-        np.cos(theta, out=phasors.real)
-        np.sin(theta, out=phasors.imag)
-        outer, inner = phasors[:, :_SPLIT], phasors[:, _SPLIT:]
-        outer *= spec.amps[block, None]
-        acc += outer.T @ inner
-    out = acc.reshape(N_SAMPLES)
-    return out if spec.analytic else out.real.copy()
+    k = len(spec.freqs)
+    blocks = (
+        (spec.freqs[lo:lo + _BLOCK], spec.amps[lo:lo + _BLOCK], spec.phases[lo:lo + _BLOCK])
+        for lo in range(0, k, _BLOCK)
+    )
+    return _render_stream(blocks, spec.analytic, _Workspace(min(k, _BLOCK), 1))
+
+
+# Each kind's draw order, stated once: a draw returns the observation's
+# component count and a generator of its (freqs, amps, phases) blocks of at
+# most _BLOCK components. Drawing a uniform array in pieces gives the same
+# values as drawing it whole (O'Neill, "PCG", HMC-CS-2014-0905, 2014), so
+# the phases can be drawn block by block as the blocks are rendered.
+
+def _draw_sawtooth(rng: np.random.Generator, phase_hi: float):
+    f0 = rng.uniform(0.0, NYQUIST)
+    while f0 == 0.0:  # uniform() can return its lower bound
+        f0 = rng.uniform(0.0, NYQUIST)
+    n_max = math.ceil(NYQUIST / f0) - 1
+
+    def blocks():
+        for lo in range(0, n_max, _BLOCK):
+            n = np.arange(lo + 1, min(lo + _BLOCK, n_max) + 1, dtype=np.float64)
+            yield f0 * n, 1.0 / n, rng.uniform(0.0, phase_hi, len(n))
+
+    return n_max, blocks()
+
+
+_INHARMONIC_AMPS = np.full(5, 0.2)
+_INHARMONIC_AMPS.flags.writeable = False  # shared by every draw; specs and batches copy it
+
+
+def _draw_inharmonic(rng: np.random.Generator, phase_hi: float):
+    freqs = rng.uniform(0.0, NYQUIST, 5)
+    phases = rng.uniform(0.0, phase_hi, 5)
+    return 5, iter([(freqs, _INHARMONIC_AMPS, phases)])
+
+
+def _draw(kind: DatasetKind, rng: np.random.Generator, full_phase_range: bool):
+    phase_hi = 2.0 * np.pi if full_phase_range else 1.0
+    if kind in (DatasetKind.SAWTOOTH, DatasetKind.SAWTOOTH_ANALYTIC):
+        return _draw_sawtooth(rng, phase_hi)
+    return _draw_inharmonic(rng, phase_hi)
+
+
+def _spec(drawn, analytic: bool) -> WaveformSpec:
+    _, blocks = drawn
+    freqs, amps, phases = (np.concatenate(parts) for parts in zip(*blocks))
+    return WaveformSpec(freqs=freqs, amps=amps, phases=phases, analytic=analytic)
 
 
 def draw_sawtooth_spec(
@@ -159,14 +272,7 @@ def draw_sawtooth_spec(
     Amplitudes follow 1/n including the fundamental (1/1). Each component
     gets an independent phase. Draw order: f0, then all phases.
     """
-    f0 = rng.uniform(0.0, NYQUIST)
-    while f0 == 0.0:  # uniform() can return its lower bound
-        f0 = rng.uniform(0.0, NYQUIST)
-    n_max = math.ceil(NYQUIST / f0) - 1
-    n = np.arange(1, n_max + 1, dtype=np.float64)
-    phase_hi = 2.0 * np.pi if full_phase_range else 1.0
-    phases = rng.uniform(0.0, phase_hi, n_max)
-    return WaveformSpec(freqs=f0 * n, amps=1.0 / n, phases=phases, analytic=analytic)
+    return _spec(_draw(DatasetKind.SAWTOOTH, rng, full_phase_range), analytic)
 
 
 def draw_inharmonic_spec(
@@ -176,18 +282,13 @@ def draw_inharmonic_spec(
 
     Draw order: the five frequencies, then the five phases.
     """
-    freqs = rng.uniform(0.0, NYQUIST, 5)
-    phase_hi = 2.0 * np.pi if full_phase_range else 1.0
-    phases = rng.uniform(0.0, phase_hi, 5)
-    return WaveformSpec(freqs=freqs, amps=np.full(5, 0.2), phases=phases, analytic=analytic)
+    return _spec(_draw(DatasetKind.INHARMONIC, rng, full_phase_range), analytic)
 
 
 def draw_spec(
     kind: DatasetKind, rng: np.random.Generator, full_phase_range: bool = False
 ) -> WaveformSpec:
-    if kind in (DatasetKind.SAWTOOTH, DatasetKind.SAWTOOTH_ANALYTIC):
-        return draw_sawtooth_spec(rng, kind.analytic, full_phase_range)
-    return draw_inharmonic_spec(rng, kind.analytic, full_phase_range)
+    return _spec(_draw(kind, rng, full_phase_range), kind.analytic)
 
 
 def periods_per_frame(spec: WaveformSpec) -> float:
@@ -226,11 +327,47 @@ class DatasetBundle:
 
 
 def _gen_partition(kind, seed, stream, count, full_phase_range):
+    """Observations 0..count-1 of one partition, rendered in batches.
+
+    Each observation draws from its own make_rng(seed, stream, i) and
+    joins the pending batch, which is rendered once the next observation
+    would overflow the block or it holds _BATCH_OBS observations. An
+    observation of more than _BLOCK components is rendered alone, its
+    phases drawn block by block (_render_stream). Row i equals
+    synthesize(draw_spec(kind, make_rng(seed, stream, i),
+    full_phase_range)) byte for byte.
+    """
     out = np.empty((count, N_SAMPLES), dtype=COMPLEX if kind.analytic else np.float64)
+    work = _Workspace(_BLOCK, _BATCH_OBS)
+    batch, size = [], 0  # (component count, row, components) per pending observation
     for i in range(count):
-        rng = make_rng(seed, stream, i)
-        out[i] = synthesize(draw_spec(kind, rng, full_phase_range))
+        n, blocks = _draw(kind, make_rng(seed, stream, i), full_phase_range)
+        if n > _BLOCK:
+            out[i] = _render_stream(blocks, kind.analytic, work)
+            continue
+        if size + n > _BLOCK or len(batch) == _BATCH_OBS:
+            _render_batch(batch, out, work)
+            batch, size = [], 0
+        batch.append((n, i, next(blocks)))
+        size += n
+    if batch:
+        _render_batch(batch, out, work)
     return out
+
+
+def _render_batch(batch, out, work: _Workspace) -> None:
+    """Render pending observations into their rows of out in one pass.
+
+    They are laid out by component count, so observations of equal count
+    sit side by side and share one stacked product (_render).
+    """
+    batch.sort(key=lambda obs: obs[0])
+    counts, rows, blocks = zip(*batch)
+    accs = work.accs[:len(rows)]
+    accs[...] = 0.0
+    _render(*(np.concatenate(parts) for parts in zip(*blocks)), counts, work)
+    samples = accs.reshape(len(rows), N_SAMPLES)
+    out[list(rows)] = samples if out.dtype == COMPLEX else samples.real
 
 
 def generate_bundle(

@@ -93,6 +93,20 @@ class TestSawtoothSpec:
             widest = max(widest, spec.phases.max(initial=0.0))
         assert widest > 1.0  # would be impossible under the default range
 
+    @pytest.mark.parametrize("full_phase_range", [False, True])
+    def test_draw_order_is_f0_then_all_phases(self, full_phase_range):
+        # Observation 130 of seed 7's train stream has 10,018 harmonics, three
+        # blocks; its phases are drawn block by block and must equal one draw.
+        spec = dg.draw_sawtooth_spec(make_rng(7, 0, 130), full_phase_range=full_phase_range)
+        rng = make_rng(7, 0, 130)
+        f0 = rng.uniform(0.0, dg.NYQUIST)
+        n = np.arange(1, np.ceil(dg.NYQUIST / f0), dtype=np.float64)
+        phases = rng.uniform(0.0, 2 * np.pi if full_phase_range else 1.0, len(n))
+        assert len(n) == 10018
+        assert spec.freqs.tobytes() == (f0 * n).tobytes()
+        assert spec.amps.tobytes() == (1.0 / n).tobytes()
+        assert spec.phases.tobytes() == phases.tobytes()
+
     def test_mean_periods_per_frame(self):
         rng_draws = [dg.draw_sawtooth_spec(make_rng(5, i)) for i in range(2000)]
         mean = np.mean([dg.periods_per_frame(s) for s in rng_draws])
@@ -178,6 +192,23 @@ class TestFactoredSynthesis:
                                rng.uniform(0.0, 1.0, k), analytic=True)
         want = direct_sum(spec)
         assert np.abs(dg.synthesize(spec) - want).max() <= 1e-12 * np.abs(want).max()
+
+    def test_long_observation_streams_in_bounded_memory(self):
+        # Observation 67649 of seed 8's train stream has 411,771 harmonics.
+        # Rendered as a partition renders it, its phases, frequencies and
+        # amplitudes exist one block at a time; a drawn spec alone holds 9.4 MiB.
+        kind = dg.DatasetKind.SAWTOOTH
+        tracemalloc.start()
+        try:
+            n, blocks = dg._draw(kind, make_rng(8, 0, 67649), False)
+            got = dg._render_stream(blocks, False, dg._Workspace(dg._BLOCK, dg._BATCH_OBS))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert n == 411771
+        assert peak < 16 * 2**20, peak
+        want = dg.synthesize(dg.draw_spec(kind, make_rng(8, 0, 67649)))
+        assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bin_", [1, 10, 333, 511])
     def test_integer_bin_component(self, bin_):
@@ -456,11 +487,24 @@ class TestBundleIO:
         assert not np.array_equal(bundle.val[0], bundle.test[0])
 
     def test_specs_regenerable(self):
-        # Specs are not stored; the val stream (1) and the index redraw them.
-        bundle = self.small_bundle()
-        for i in range(3):
-            spec = dg.draw_spec(bundle.kind, make_rng(bundle.seed, 1, i))
-            np.testing.assert_allclose(dg.synthesize(spec), bundle.val[i], atol=0)
+        # Specs are not stored; the partition's stream and the index redraw
+        # them, and synthesize renders every row's bytes. 70 train rows fill
+        # more than one batch.
+        for kind in dg.DatasetKind:
+            for full_phase_range in (False, True):
+                bundle = dg.generate_bundle(kind, 21, 70, 9, 5, full_phase_range)
+                for name, stream in (("train", 0), ("val", 1), ("test", 2)):
+                    for i, row in enumerate(bundle.partition(name)):
+                        spec = dg.draw_spec(kind, make_rng(21, stream, i), full_phase_range)
+                        got = dg.synthesize(spec).tobytes()
+                        assert got == row.tobytes(), (kind, full_phase_range, name, i)
+
+    def test_long_observation_regenerable(self):
+        # Train row 130 of seed 7 has 10,018 harmonics and is streamed in
+        # three blocks, apart from the batches around it.
+        row = dg.generate_bundle("sawtooth", 7, 131, 0, 0).train[130]
+        want = dg.synthesize(dg.draw_spec(dg.DatasetKind.SAWTOOTH, make_rng(7, 0, 130)))
+        assert want.tobytes() == row.tobytes()
 
 
 class TestSampleDtype:

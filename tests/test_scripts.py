@@ -142,6 +142,26 @@ def test_bench_ab_marks_unresolved_metrics(parent, change, unresolved):
     assert compare(spec, runs)["run_s"]["unresolved"] is unresolved
 
 
+@pytest.mark.parametrize("better, parent, change, met", [
+    ("lower", [10] * 10, [8] * 10, True),
+    ("lower", [10] * 10, [8] * 8 + [10, 12], False),
+    ("lower", [10] * 10, [8] * 9 + [10], True),
+    ("lower", [9.5, 10, 13, 14] * 2 + [11, 11], [9] * 10, False),
+    ("higher", [10] * 10, [12] * 9 + [9], True),
+    ("higher", [10] * 10, [8] * 10, False),
+], ids=["all-pairs-won", "eight-of-ten", "nine-of-ten-and-a-tie", "gap-inside-parent-iqr",
+        "higher-nine-of-ten", "higher-worse"])
+def test_bench_ab_claim_rule(better, parent, change, met):
+    # Nine tenths of the pairs won (a tie wins neither side) and a median
+    # gap wider than the parent's IQR.
+    script = runpy.run_path(str(ROOT / "scripts" / "bench_ab.py"))
+    spec = {"end_to_end": [{"name": "m", "unit": "s", "better": better, "bound": 0.25}]}
+    runs = {side: [{"ok": True, "metrics": {"m": v}} for v in values]
+            for side, values in (("parent", parent), ("change", change))}
+    verdict = script["claim"](script["compare"](spec, runs)["m"], 10)
+    assert verdict["met"] is met and verdict["pairs"] == 10
+
+
 def test_bench_ab_report_schema(tmp_path):
     # One quick pair and one traced run per side on one workload; only the
     # report's shape is checked.
@@ -150,13 +170,14 @@ def test_bench_ab_report_schema(tmp_path):
     out = tmp_path / "bench.json"
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench_ab.py"), "--out", str(out),
-         "--workloads", "full-real", "--pairs", "1", "--seconds", "0", "--quick", "--trace"],
+         "--workloads", "full-real", "--pairs", "1", "--seconds", "0", "--quick", "--trace",
+         "--claim", "full-real/setup_s"],
         capture_output=True, text=True, timeout=600,
     )
     assert out.exists(), proc.stderr
     report = json.loads(out.read_text())
     assert set(report) == {"parent", "change", "pairs", "seconds", "quick", "workloads",
-                           "flagged", "unresolved"}
+                           "flagged", "unresolved", "claim"}
     assert all(len(report[side]["sha"]) == 40 for side in ("parent", "change"))
     files = sorted(str(p) for p in (ROOT / "src" / "cvnet").glob("*.py"))
     wc = subprocess.run(["wc", "-l", *files], capture_output=True, text=True, check=True).stdout
@@ -186,3 +207,9 @@ def test_bench_ab_report_schema(tmp_path):
         assert all(isinstance(m[side], (int, float)) for side in ("parent", "change"))
     assert isinstance(report["flagged"], list)
     assert report["unresolved"] == []
+    setup = entry["metrics"]["setup_s"]
+    assert report["claim"] == {
+        "workload": "full-real", "metric": "setup_s", "wins": setup["wins"], "pairs": 1,
+        "parent_median": setup["parent"]["median"], "change_median": setup["change"]["median"],
+        "parent_iqr": 0.0,
+        "met": setup["wins"] == 1 and setup["change"]["median"] < setup["parent"]["median"]}
