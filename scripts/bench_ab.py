@@ -26,10 +26,11 @@ the workload's `per_layer` entry holds each per-layer metric of
 BENCHMARK.json for both sides with its relative change; without it
 `per_layer` is null. With --claim WORKLOAD/METRIC, `claim` holds the
 gain rule every performance claim is judged by: the change's wins, the
-pairs run, both medians, the parent's IQR and `met`, which is true when
-the change wins at least nine tenths of the pairs (ties count for
-neither) and its median is better than the parent's by more than the
-parent's IQR; without it `claim` is null. Exit code 0 means
+pairs run, both medians, the parent's IQR and `met`, which is true when at
+least ten pairs ran, the change wins at least nine tenths of them (ties
+count for neither) and its median is better than the parent's by more
+than the parent's IQR; fewer pairs never meet a claim, whatever they
+show. Without --claim, `claim` is null. Exit code 0 means
 every run passed its checks and no metric was flagged; an unresolved
 metric does not change it.
 """
@@ -133,12 +134,16 @@ def compare(spec: dict, runs: dict) -> dict:
 
 
 def claim(metric: dict, pairs: int) -> dict:
-    """The gain rule for one compare() entry; a pair that failed counts as lost."""
+    """The gain rule for one compare() entry; a pair that failed counts as lost.
+
+    Fewer than ten pairs never meet it: the rule asks for at least ten.
+    """
     base, new = metric["parent"]["median"], metric["change"]["median"]
     iqr = metric["parent"]["iqr"]
     gap = None if None in (base, new) else (base - new if metric["better"] == "lower" else new - base)
     return {"wins": metric["wins"], "pairs": pairs, "parent_median": base, "change_median": new,
-            "parent_iqr": iqr, "met": metric["wins"] >= 0.9 * pairs and gap is not None and gap > iqr}
+            "parent_iqr": iqr,
+            "met": pairs >= 10 and metric["wins"] >= 0.9 * pairs and gap is not None and gap > iqr}
 
 
 def per_layer(spec: dict, traced: dict) -> dict:

@@ -32,12 +32,12 @@ its cost grows with the component count at 1/16 of the direct sum's
 transcendentals. Samples differ from the direct per-sample sum by less
 than 1e-12 of the signal's peak.
 
-generate_bundle renders a partition in batches: the components of many
-observations share one pass of that block math. An observation of more
-than one block is streamed instead, its components drawn a block at a
-time, so generation's memory is bounded by the block whatever the
-harmonic count; a drawn WaveformSpec, by contrast, holds every
-component. Each row has the bytes synthesize(draw_spec(...)) gives it.
+synthesize and generate_bundle share one render path: blocks of one
+observation or many share a pass of that block math and are added straight
+into their rows. A partition draws an observation's components a block at a
+time, so its memory is bounded by the block whatever the harmonic count (a
+drawn WaveformSpec holds every component), and each row has the bytes
+synthesize(draw_spec(...)) gives it.
 """
 
 from __future__ import annotations
@@ -81,7 +81,7 @@ _KINDS = {v: k for k, v in _KIND_TAGS.items()}
 
 @dataclass(frozen=True)
 class WaveformSpec:
-    """Component list (frequency, amplitude, phase) plus the analytic flag."""
+    """Component lists (frequency, amplitude, phase), 1-D float64, plus the analytic flag."""
 
     freqs: np.ndarray
     amps: np.ndarray
@@ -89,6 +89,11 @@ class WaveformSpec:
     analytic: bool
 
     def __post_init__(self):
+        for name in ("freqs", "amps", "phases"):  # contiguous float64 input is not copied
+            value = as_real(getattr(self, name), f"component {name} must be real")
+            if value.ndim != 1:
+                raise ValueError(f"component arrays must be 1-D, got {name} of shape {value.shape}")
+            object.__setattr__(self, name, value)
         if not (len(self.freqs) == len(self.amps) == len(self.phases)):
             raise ValueError("component arrays must have equal length")
         _check_components(self.freqs, self.amps, self.phases)
@@ -119,37 +124,36 @@ def _check_components(freqs, amps, phases) -> None:
 _SPLIT = 32  # N_SAMPLES == _SPLIT ** 2
 _SPLIT_STEPS = np.concatenate([_SPLIT * np.arange(_SPLIT), np.arange(_SPLIT)]).astype(np.float64)
 _BLOCK = 4096  # components per block: 4 MB of complex phasors
-_BATCH_OBS = 64  # observations per batch: 1 MB of 32 x 32 accumulators
+_BATCH_OBS = 64  # blocks per batch: 1 MB of 32 x 32 products
 
 
 class _Workspace:
-    """Scratch that _render reuses from block to block.
+    """Scratch that _render reuses batch after batch, touching the same pages
+    where fresh multi-megabyte temporaries would be handed back to the OS
+    and faulted in again."""
 
-    Up to n_components components of up to n_obs observations. Rendering
-    into the same arrays batch after batch touches the same pages, where
-    fresh multi-megabyte temporaries per batch would be handed back to the
-    OS and faulted in again.
+    def __init__(self):
+        self.theta = np.empty((_BLOCK, 2 * _SPLIT))
+        self.phasors = np.empty((_BLOCK, 2 * _SPLIT), dtype=COMPLEX)
+        self.prods = np.empty((_BATCH_OBS, _SPLIT, _SPLIT), dtype=COMPLEX)
+
+
+def _render(batch, out: np.ndarray, work: _Workspace) -> None:
+    """Add a batch of (count, row, (freqs, amps, phases)) blocks into their rows of out.
+
+    Laid out by component count and checked by WaveformSpec's rules, the
+    blocks' turns, cos/sin and amplitudes run in one pass. Blocks of equal
+    count share one stacked outer.T @ inner with the shape and operand
+    layout of each block's own product, so every row gets the same bits
+    either way. Each product is added straight into its row (its real part
+    into a float64 row) by a fancy-indexed +=, which keeps only one of two
+    additions to the same row, so a batch must hold at most one block per
+    row. It does: every block of a long observation but its last has
+    exactly _BLOCK components and so fills a batch alone (_render_rows).
     """
-
-    def __init__(self, n_components: int, n_obs: int):
-        self.theta = np.empty((n_components, 2 * _SPLIT))
-        self.phasors = np.empty((n_components, 2 * _SPLIT), dtype=COMPLEX)
-        self.prods = np.empty((n_obs, _SPLIT, _SPLIT), dtype=COMPLEX)
-        self.accs = np.empty((n_obs, _SPLIT, _SPLIT), dtype=COMPLEX)
-
-
-def _render(freqs, amps, phases, counts, work: _Workspace) -> None:
-    """Add one block of components, from one or many observations, to their accumulators.
-
-    The components are laid out observation after observation, counts[j]
-    of them for the observation whose 32 x 32 accumulator is
-    work.accs[j]. The block is checked by WaveformSpec's rules, then the
-    turns, cos/sin and amplitudes run once over all of it. A run of
-    observations with equal counts shares one stacked outer.T @ inner,
-    whose matrices have the shape and operand layout each observation's
-    product has when it is rendered alone, so every observation gets the
-    same bits either way.
-    """
+    batch.sort(key=lambda obs: obs[0])
+    counts, rows, blocks = zip(*batch)
+    freqs, amps, phases = (np.concatenate(parts) for parts in zip(*blocks))
     _check_components(freqs, amps, phases)
     theta, phasors = work.theta[:len(freqs)], work.phasors[:len(freqs)]
     np.multiply(freqs[:, None], _SPLIT_STEPS, out=theta)  # (K, 64) cycles
@@ -161,28 +165,41 @@ def _render(freqs, amps, phases, counts, work: _Workspace) -> None:
     np.sin(theta, out=phasors.imag)
     outer, inner = phasors[:, :_SPLIT], phasors[:, _SPLIT:]
     outer *= amps[:, None]
+    samples = out.reshape(len(out), _SPLIT, _SPLIT)
     lo = j = 0
     for k, run in itertools.groupby(counts):
         m = len(list(run))
         hi = lo + m * k
         stacked = outer[lo:hi].reshape(m, k, _SPLIT).transpose(0, 2, 1)
         prods = np.matmul(stacked, inner[lo:hi].reshape(m, k, _SPLIT), out=work.prods[:m])
-        work.accs[j:j + m] += prods
+        samples[list(rows[j:j + m])] += prods if out.dtype == COMPLEX else prods.real
         lo, j = hi, j + m
 
 
-def _render_stream(blocks, analytic: bool, work: _Workspace) -> np.ndarray:
-    """One observation's samples from its (freqs, amps, phases) blocks, summed in order.
+def _render_rows(rows, count: int, analytic: bool) -> np.ndarray:
+    """(count, 1024) samples, row i the sum of rows[i]'s (freqs, amps, phases) blocks.
 
-    Only the block being rendered is held, so a drawn observation's memory
-    is bounded by the block, not by its harmonic count (_gen_partition).
+    A block, of at most _BLOCK components, joins the pending batch, which is
+    rendered once the next block would overflow _BLOCK components or it
+    holds _BATCH_OBS blocks; only that batch is held, whatever the harmonic count.
     """
-    acc = work.accs[:1]
-    acc[...] = 0.0
-    for freqs, amps, phases in blocks:
-        _render(freqs, amps, phases, (len(freqs),), work)
-    out = acc.reshape(N_SAMPLES)
-    return out.copy() if analytic else out.real.copy()
+    # Zeros written up front: _render reads a row before writing it, and a page
+    # of np.zeros faults on that read and again on the write (92k minor faults,
+    # not 48k, for a 10000/1000/1000 inharmonic-analytic bundle on 4 KiB pages).
+    out = np.full((count, N_SAMPLES), 0.0, dtype=COMPLEX if analytic else np.float64)
+    work = _Workspace()
+    batch, size = [], 0  # (component count, row, block) per pending block
+    for row, blocks in enumerate(rows):
+        for block in blocks:
+            n = len(block[0])
+            if size + n > _BLOCK or len(batch) == _BATCH_OBS:
+                _render(batch, out, work)
+                batch, size = [], 0
+            batch.append((n, row, block))
+            size += n
+    if batch:
+        _render(batch, out, work)
+    return out
 
 
 def synthesize(spec: WaveformSpec) -> np.ndarray:
@@ -203,9 +220,9 @@ def synthesize(spec: WaveformSpec) -> np.ndarray:
     per component, and outer.T @ inner read row-major is the block's 1024
     samples. Arguments lose their whole turns before the phase is added,
     which is exact and keeps them small. Blocks hold 4096 components and
-    are summed in a fixed order, so the rendering's scratch is bounded for
+    are added in a fixed order, so the rendering's scratch is bounded for
     any harmonic count (the spec itself is not) and equal specs give equal
-    bits. generate_bundle renders through the same block code and gives
+    bits. generate_bundle renders through the same _render_rows and gives
     every observation the bits synthesize(draw_spec(...)) gives it.
 
     Over 3000 draws of each kind, samples differ from the direct
@@ -213,19 +230,16 @@ def synthesize(spec: WaveformSpec) -> np.ndarray:
     to an extended-precision sum than the direct sum does (1.9e-13 against
     6.8e-13 of the peak, 300 draws).
     """
-    k = len(spec.freqs)
-    blocks = (
-        (spec.freqs[lo:lo + _BLOCK], spec.amps[lo:lo + _BLOCK], spec.phases[lo:lo + _BLOCK])
-        for lo in range(0, k, _BLOCK)
-    )
-    return _render_stream(blocks, spec.analytic, _Workspace(min(k, _BLOCK), 1))
+    blocks = ((spec.freqs[lo:lo + _BLOCK], spec.amps[lo:lo + _BLOCK], spec.phases[lo:lo + _BLOCK])
+              for lo in range(0, len(spec.freqs), _BLOCK))
+    return _render_rows([blocks], 1, spec.analytic)[0]
 
 
-# Each kind's draw order, stated once: a draw returns the observation's
-# component count and a generator of its (freqs, amps, phases) blocks of at
-# most _BLOCK components. Drawing a uniform array in pieces gives the same
-# values as drawing it whole (O'Neill, "PCG", HMC-CS-2014-0905, 2014), so
-# the phases can be drawn block by block as the blocks are rendered.
+# Each kind's draw order, stated once: a draw returns a generator of the
+# observation's (freqs, amps, phases) blocks, each of _BLOCK components but
+# the last. Drawing a uniform array in pieces gives the same values as
+# drawing it whole (O'Neill, "PCG", HMC-CS-2014-0905, 2014), so the phases
+# can be drawn block by block as the blocks are rendered.
 
 def _draw_sawtooth(rng: np.random.Generator, phase_hi: float):
     f0 = rng.uniform(0.0, NYQUIST)
@@ -238,7 +252,7 @@ def _draw_sawtooth(rng: np.random.Generator, phase_hi: float):
             n = np.arange(lo + 1, min(lo + _BLOCK, n_max) + 1, dtype=np.float64)
             yield f0 * n, 1.0 / n, rng.uniform(0.0, phase_hi, len(n))
 
-    return n_max, blocks()
+    return blocks()
 
 
 _INHARMONIC_AMPS = np.full(5, 0.2)
@@ -248,7 +262,7 @@ _INHARMONIC_AMPS.flags.writeable = False  # shared by every draw; specs and batc
 def _draw_inharmonic(rng: np.random.Generator, phase_hi: float):
     freqs = rng.uniform(0.0, NYQUIST, 5)
     phases = rng.uniform(0.0, phase_hi, 5)
-    return 5, iter([(freqs, _INHARMONIC_AMPS, phases)])
+    return iter([(freqs, _INHARMONIC_AMPS, phases)])
 
 
 def _draw(kind: DatasetKind, rng: np.random.Generator, full_phase_range: bool):
@@ -258,8 +272,7 @@ def _draw(kind: DatasetKind, rng: np.random.Generator, full_phase_range: bool):
     return _draw_inharmonic(rng, phase_hi)
 
 
-def _spec(drawn, analytic: bool) -> WaveformSpec:
-    _, blocks = drawn
+def _spec(blocks, analytic: bool) -> WaveformSpec:
     freqs, amps, phases = (np.concatenate(parts) for parts in zip(*blocks))
     return WaveformSpec(freqs=freqs, amps=amps, phases=phases, analytic=analytic)
 
@@ -329,45 +342,12 @@ class DatasetBundle:
 def _gen_partition(kind, seed, stream, count, full_phase_range):
     """Observations 0..count-1 of one partition, rendered in batches.
 
-    Each observation draws from its own make_rng(seed, stream, i) and
-    joins the pending batch, which is rendered once the next observation
-    would overflow the block or it holds _BATCH_OBS observations. An
-    observation of more than _BLOCK components is rendered alone, its
-    phases drawn block by block (_render_stream). Row i equals
-    synthesize(draw_spec(kind, make_rng(seed, stream, i),
-    full_phase_range)) byte for byte.
+    Observation i draws from make_rng(seed, stream, i), its phases a block
+    at a time as _render_rows takes its blocks, and row i has the bytes of
+    synthesize(draw_spec(kind, make_rng(seed, stream, i), full_phase_range)).
     """
-    out = np.empty((count, N_SAMPLES), dtype=COMPLEX if kind.analytic else np.float64)
-    work = _Workspace(_BLOCK, _BATCH_OBS)
-    batch, size = [], 0  # (component count, row, components) per pending observation
-    for i in range(count):
-        n, blocks = _draw(kind, make_rng(seed, stream, i), full_phase_range)
-        if n > _BLOCK:
-            out[i] = _render_stream(blocks, kind.analytic, work)
-            continue
-        if size + n > _BLOCK or len(batch) == _BATCH_OBS:
-            _render_batch(batch, out, work)
-            batch, size = [], 0
-        batch.append((n, i, next(blocks)))
-        size += n
-    if batch:
-        _render_batch(batch, out, work)
-    return out
-
-
-def _render_batch(batch, out, work: _Workspace) -> None:
-    """Render pending observations into their rows of out in one pass.
-
-    They are laid out by component count, so observations of equal count
-    sit side by side and share one stacked product (_render).
-    """
-    batch.sort(key=lambda obs: obs[0])
-    counts, rows, blocks = zip(*batch)
-    accs = work.accs[:len(rows)]
-    accs[...] = 0.0
-    _render(*(np.concatenate(parts) for parts in zip(*blocks)), counts, work)
-    samples = accs.reshape(len(rows), N_SAMPLES)
-    out[list(rows)] = samples if out.dtype == COMPLEX else samples.real
+    drawn = (_draw(kind, make_rng(seed, stream, i), full_phase_range) for i in range(count))
+    return _render_rows(drawn, count, kind.analytic)
 
 
 def generate_bundle(

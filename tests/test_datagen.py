@@ -34,6 +34,15 @@ class TestWaveformSpecValidation:
     ], ids=["zero-frequency", "just-below-nyquist", "empty"])
     def test_accepted(self, freqs, amps):
         assert len(spec_of(freqs, amps).freqs) == len(freqs)
+        # Lists go straight in as float64 arrays; float64 arrays are held uncopied.
+        phases = [0.5] * len(freqs)
+        arrays = [np.array(x, dtype=np.float64) for x in (freqs, amps, phases)]
+        listed = dg.WaveformSpec(freqs, amps, phases, analytic=False)
+        held = dg.WaveformSpec(*arrays, analytic=False)
+        for name, want in zip(("freqs", "amps", "phases"), arrays):
+            got = getattr(listed, name)
+            assert got.dtype == np.float64 and got.ndim == 1 and got.tobytes() == want.tobytes()
+            assert getattr(held, name) is want
 
     @pytest.mark.parametrize("freqs, amps, phases, match", [
         ([0.1, dg.NYQUIST], [1.0, 1.0], None, "frequencies"),
@@ -50,13 +59,21 @@ class TestWaveformSpecValidation:
         ([0.1, 0.2], [1.0, 1.0], [0.0, np.nan], "phases"),
         ([0.1, 0.2], [1.0, 1.0], [np.inf, 0.0], "phases"),
         ([0.1, 0.2], [1.0, 1.0], [0.0, -np.inf], "phases"),
+        ([[0.1, 0.2]], [[1.0, 1.0]], None, "1-D"),
     ], ids=["nyquist", "negative-frequency", "zero-amplitude", "negative-amplitude", "lengths",
             "nan-frequency-last", "nan-frequency-first", "inf-frequency",
             "nan-amplitude-last", "nan-amplitude-first", "inf-amplitude",
-            "nan-phase", "inf-phase", "negative-inf-phase"])
+            "nan-phase", "inf-phase", "negative-inf-phase", "two-dimensional"])
     def test_rejected(self, freqs, amps, phases, match):
         with pytest.raises(ValueError, match=match):
             spec_of(freqs, amps, phases)
+
+    def test_complex_components_rejected(self):
+        # A nonzero imaginary part is an error, not silently dropped.
+        with pytest.raises(ValueError, match="component freqs must be real"):
+            dg.WaveformSpec(np.array([0.1 + 0.3j]), [1.0], [0.0], analytic=False)
+        spec = dg.WaveformSpec(np.array([0.1 + 0j]), [1.0], [0.0], analytic=False)
+        assert spec.freqs.dtype == np.float64 and spec.freqs[0] == 0.1
 
 
 class TestSawtoothSpec:
@@ -198,17 +215,23 @@ class TestFactoredSynthesis:
         # Rendered as a partition renders it, its phases, frequencies and
         # amplitudes exist one block at a time; a drawn spec alone holds 9.4 MiB.
         kind = dg.DatasetKind.SAWTOOTH
+        lengths = []
+
+        def blocks():
+            for block in dg._draw(kind, make_rng(8, 0, 67649), False):
+                lengths.append(len(block[0]))
+                yield block
+
         tracemalloc.start()
         try:
-            n, blocks = dg._draw(kind, make_rng(8, 0, 67649), False)
-            got = dg._render_stream(blocks, False, dg._Workspace(dg._BLOCK, dg._BATCH_OBS))
+            got = dg._render_rows([blocks()], 1, False)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert n == 411771
+        assert sum(lengths) == 411771
         assert peak < 16 * 2**20, peak
         want = dg.synthesize(dg.draw_spec(kind, make_rng(8, 0, 67649)))
-        assert got.tobytes() == want.tobytes()
+        assert got[0].tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("bin_", [1, 10, 333, 511])
     def test_integer_bin_component(self, bin_):
@@ -500,11 +523,13 @@ class TestBundleIO:
                         assert got == row.tobytes(), (kind, full_phase_range, name, i)
 
     def test_long_observation_regenerable(self):
-        # Train row 130 of seed 7 has 10,018 harmonics and is streamed in
-        # three blocks, apart from the batches around it.
-        row = dg.generate_bundle("sawtooth", 7, 131, 0, 0).train[130]
-        want = dg.synthesize(dg.draw_spec(dg.DatasetKind.SAWTOOTH, make_rng(7, 0, 130)))
-        assert want.tobytes() == row.tobytes()
+        # Train row 130 of seed 7 has 10,018 harmonics in three blocks. The
+        # first two fill a batch each; the last, of 1,826 components, shares
+        # a batch with the rows after it.
+        train = dg.generate_bundle("sawtooth", 7, 140, 0, 0).train
+        for i in range(125, 140):
+            want = dg.synthesize(dg.draw_spec(dg.DatasetKind.SAWTOOTH, make_rng(7, 0, i)))
+            assert want.tobytes() == train[i].tobytes(), i
 
 
 class TestSampleDtype:
