@@ -8,8 +8,8 @@ test partition and `cvnet filters` writes OUT/<kind>/filters_<field>.csv.
 A command's nonzero exit code ends the script with that code.
 
 --protocol desk runs in minutes on one core. --protocol full is the
-paper's: 8-second benchmark runs project 0.52 h per complex trial on
-sawtooth on one core (BENCH_24.json; no 1000-epoch trial has run), and
+paper's: 8-second benchmark runs project 0.459 h per complex trial on
+sawtooth on one core (BENCH_29.json; no 1000-epoch trial has run), and
 each dataset file takes about 197 MB. The flags after --jobs override the
 protocol's table entry, to carve out slices. All outputs are
 deterministic in --seed; the search seed is the data seed + 1.

@@ -235,24 +235,25 @@ def synthesize(spec: WaveformSpec) -> np.ndarray:
     return _render_rows([blocks], 1, spec.analytic)[0]
 
 
-# Each kind's draw order, stated once: a draw returns a generator of the
+# Each kind's draw order is stated once, in its generator, which yields the
 # observation's (freqs, amps, phases) blocks, each of _BLOCK components but
 # the last. Drawing a uniform array in pieces gives the same values as
 # drawing it whole (O'Neill, "PCG", HMC-CS-2014-0905, 2014), so the phases
 # can be drawn block by block as the blocks are rendered.
 
 def _draw_sawtooth(rng: np.random.Generator, phase_hi: float):
+    """Fundamental f0 ~ U(0, 0.5); harmonics n = 1, 2, ... while n*f0 < Nyquist.
+
+    Amplitudes follow 1/n, the fundamental's included, and each component
+    gets an independent phase. Draw order: f0, then every phase.
+    """
     f0 = rng.uniform(0.0, NYQUIST)
     while f0 == 0.0:  # uniform() can return its lower bound
         f0 = rng.uniform(0.0, NYQUIST)
     n_max = math.ceil(NYQUIST / f0) - 1
-
-    def blocks():
-        for lo in range(0, n_max, _BLOCK):
-            n = np.arange(lo + 1, min(lo + _BLOCK, n_max) + 1, dtype=np.float64)
-            yield f0 * n, 1.0 / n, rng.uniform(0.0, phase_hi, len(n))
-
-    return blocks()
+    for lo in range(0, n_max, _BLOCK):
+        n = np.arange(lo + 1, min(lo + _BLOCK, n_max) + 1, dtype=np.float64)
+        yield f0 * n, 1.0 / n, rng.uniform(0.0, phase_hi, len(n))
 
 
 _INHARMONIC_AMPS = np.full(5, 0.2)
@@ -260,9 +261,13 @@ _INHARMONIC_AMPS.flags.writeable = False  # shared by every draw; specs and batc
 
 
 def _draw_inharmonic(rng: np.random.Generator, phase_hi: float):
+    """Five independent uniform frequencies, amplitude 0.2 each, in one block.
+
+    Draw order: the five frequencies, then the five phases.
+    """
     freqs = rng.uniform(0.0, NYQUIST, 5)
     phases = rng.uniform(0.0, phase_hi, 5)
-    return iter([(freqs, _INHARMONIC_AMPS, phases)])
+    yield freqs, _INHARMONIC_AMPS, phases
 
 
 def _draw(kind: DatasetKind, rng: np.random.Generator, full_phase_range: bool):
@@ -272,36 +277,17 @@ def _draw(kind: DatasetKind, rng: np.random.Generator, full_phase_range: bool):
     return _draw_inharmonic(rng, phase_hi)
 
 
-def _spec(blocks, analytic: bool) -> WaveformSpec:
-    freqs, amps, phases = (np.concatenate(parts) for parts in zip(*blocks))
-    return WaveformSpec(freqs=freqs, amps=amps, phases=phases, analytic=analytic)
-
-
-def draw_sawtooth_spec(
-    rng: np.random.Generator, analytic: bool = False, full_phase_range: bool = False
-) -> WaveformSpec:
-    """Fundamental U[0, 0.5); harmonics n = 2, 3, ... while n*f0 < Nyquist.
-
-    Amplitudes follow 1/n including the fundamental (1/1). Each component
-    gets an independent phase. Draw order: f0, then all phases.
-    """
-    return _spec(_draw(DatasetKind.SAWTOOTH, rng, full_phase_range), analytic)
-
-
-def draw_inharmonic_spec(
-    rng: np.random.Generator, analytic: bool = False, full_phase_range: bool = False
-) -> WaveformSpec:
-    """Five independent uniform frequencies, amplitude 0.2 each.
-
-    Draw order: the five frequencies, then the five phases.
-    """
-    return _spec(_draw(DatasetKind.INHARMONIC, rng, full_phase_range), analytic)
-
-
 def draw_spec(
     kind: DatasetKind, rng: np.random.Generator, full_phase_range: bool = False
 ) -> WaveformSpec:
-    return _spec(_draw(kind, rng, full_phase_range), kind.analytic)
+    """One observation's spec, whole: the blocks of the kind's _draw_* generator joined."""
+    blocks = _draw(kind, rng, full_phase_range)
+    freqs, amps, phases = (np.concatenate(parts) for parts in zip(*blocks))
+    return WaveformSpec(freqs=freqs, amps=amps, phases=phases, analytic=kind.analytic)
+
+
+def draw_sawtooth_spec(rng: np.random.Generator, full_phase_range: bool = False) -> WaveformSpec:
+    return draw_spec(DatasetKind.SAWTOOTH, rng, full_phase_range)
 
 
 def periods_per_frame(spec: WaveformSpec) -> float:

@@ -40,7 +40,9 @@ def _rel_err(analytic: np.ndarray, numeric: np.ndarray, atol: float, rtol: float
 
 def _probe_loop(name: str, rng, n_probes: int, rtol: float, err) -> CheckEntry:
     """Worst of err(rng, k) over the probes k < n_probes; a NaN error fails the entry."""
-    worst = float(np.max([err(rng, k) for k in range(n_probes)], initial=0.0))
+    if n_probes < 1:  # no probe would pass every entry unchecked
+        raise ValueError(f"n_probes must be at least 1, got {n_probes}")
+    worst = float(np.max([err(rng, k) for k in range(n_probes)]))
     return CheckEntry(name, worst, rtol, worst < rtol)
 
 

@@ -211,6 +211,7 @@ class RecurrentModel:
     def __post_init__(self):
         if self.field not in _FIELD_TAGS:
             raise ValueError(f"field must be 'complex' or 'real', got {self.field!r}")
+        self.activation = ActivationKind(self.activation)  # its value string, as a flag gives it
         if self.field == "real":
             if self.activation is not ActivationKind.REAL_TANH:
                 raise ValueError("real-field models use the real-tanh activation")

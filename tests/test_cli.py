@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import cvnet
-from cvnet import cli, datagen, nn, trainer
+from cvnet import cli, datagen, gradcheck, nn, trainer
 
 
 def run(argv):
@@ -316,6 +316,11 @@ class TestChecks:
         assert run(["gradcheck", "--seed", "11"]) == 1
         failed = [line for line in capsys.readouterr().out.splitlines() if "FAIL" in line]
         assert len(failed) == 1 and "op:square" in failed[0] and "nan" in failed[0]
+
+    def test_gradcheck_rejects_zero_probes(self):
+        # With no probe, every entry would pass at an error of 0.
+        with pytest.raises(ValueError, match="n_probes"):
+            gradcheck.run_gradcheck(seed=1, n_probes=0)
 
     def test_gradcheck_report_deterministic(self, capsys):
         run(["gradcheck", "--seed", "12"])

@@ -184,7 +184,8 @@ class TestFactoredSynthesis:
     @pytest.mark.parametrize("analytic", [True, False])
     def test_five_component_draws(self, analytic):
         for i in range(20):
-            spec = dg.draw_inharmonic_spec(make_rng(90, i), analytic=analytic)
+            kind = dg.DatasetKind.INHARMONIC_ANALYTIC if analytic else dg.DatasetKind.INHARMONIC
+            spec = dg.draw_spec(kind, make_rng(90, i))
             want = direct_sum(spec)
             got = dg.synthesize(spec)
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
@@ -271,7 +272,7 @@ class TestAnalytic:
         # re(x) = (x + conj(x))/2 pointwise implies
         # X_real[k] = (X[k] + conj(X[(N-k) % N])) / 2 exactly
         rng = make_rng(8)
-        spec = dg.draw_inharmonic_spec(rng)
+        spec = dg.draw_spec(dg.DatasetKind.INHARMONIC, rng)
         xa = dg.synthesize(dataclasses.replace(spec, analytic=True))
         xr = dg.synthesize(spec)
         sa, sr = dft(xa), dft(xr)
@@ -282,7 +283,7 @@ class TestAnalytic:
         # leakage keeps them nonzero, but far below the matched real
         # signal's mirrored peaks in total energy
         rng = make_rng(9)
-        spec = dg.draw_inharmonic_spec(rng)
+        spec = dg.draw_spec(dg.DatasetKind.INHARMONIC, rng)
         xa = dg.synthesize(dataclasses.replace(spec, analytic=True))
         xr = dg.synthesize(spec)
         neg = negative_bins(dg.N_SAMPLES)
@@ -293,7 +294,7 @@ class TestAnalytic:
 
 class TestInharmonic:
     def test_five_components_amplitude_fifth(self):
-        spec = dg.draw_inharmonic_spec(make_rng(10))
+        spec = dg.draw_spec(dg.DatasetKind.INHARMONIC, make_rng(10))
         assert len(spec.freqs) == 5
         np.testing.assert_array_equal(spec.amps, np.full(5, 0.2))
         assert np.all(spec.phases >= 0) and np.all(spec.phases < 1)
@@ -305,9 +306,9 @@ class TestInharmonic:
 
     def test_well_separated_draws_show_five_peaks(self):
         rng = make_rng(12)
-        spec = dg.draw_inharmonic_spec(rng)
+        spec = dg.draw_spec(dg.DatasetKind.INHARMONIC, rng)
         while np.min(np.diff(np.sort(spec.freqs))) < 0.02:
-            spec = dg.draw_inharmonic_spec(rng)
+            spec = dg.draw_spec(dg.DatasetKind.INHARMONIC, rng)
         mags = np.abs(brute_force_dft(dg.synthesize(spec)))
         pos = mags[: dg.N_SAMPLES // 2]
         found = 0

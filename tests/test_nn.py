@@ -288,6 +288,22 @@ class TestRecurrentModel:
         with pytest.raises(ValueError, match="3"):
             nn.predict_frame(nn.param_vars(m), [np.zeros((4, 1))] * 2, m.activation)
 
+    @pytest.mark.parametrize("field, activation", [
+        ("complex", "complex-tanh"), ("complex", "split-magnitude"), ("real", "real-tanh"),
+    ])
+    def test_activation_given_as_its_string(self, field, activation, tmp_path):
+        # A command-line flag passes the activation as its value string.
+        m = nn.init_model(4, 3, 4, field=field, seed=6, activation=activation)
+        assert m.activation is nn.ActivationKind(activation)
+        frames = [np.ones((4, 2)) for _ in range(3)]
+        assert nn.predict_frame(nn.param_vars(m), frames, m.activation).value.shape == (4, 2)
+        nn.save_model(m, tmp_path / "model.cvnn")
+        assert nn.load_model(tmp_path / "model.cvnn").activation is m.activation
+
+    def test_unknown_activation_string_rejected(self):
+        with pytest.raises(ValueError, match="bogus"):
+            nn.init_model(4, 3, 4, field="complex", seed=6, activation="bogus")
+
     def test_bptt_gradients_match_oracle(self):
         rng = make_rng(91)
         m = nn.init_model(4, 3, 4, field="complex", init_scale=0.7, seed=5)
