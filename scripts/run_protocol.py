@@ -16,7 +16,8 @@ deterministic in --seed; the search seed is the data seed + 1.
 
 BLAS runs one thread per process: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
 and MKL_NUM_THREADS default to 1, and a value the caller set wins. The
-thread count changes output bits, so one fixed count keeps the outputs
+thread count changes output bits (ROADMAP's "Measured baseline" gives
+md5s at one and two threads), so one fixed count keeps the outputs
 the same for every --jobs and core count, and --jobs N runs N BLAS
 threads, not N times the library's default. On a 2-core host a 4-trial
 desk search at --jobs 2 took 8.6-9.4 s pinned against 55-70 s unpinned.
@@ -60,6 +61,8 @@ def parse_args(argv=None):
     for key, value in PROTOCOLS[args.protocol].items():
         if getattr(args, key) is None:
             setattr(args, key, value)
+    if args.seed + 1 >= 2**64:  # the search seed, seed + 1, must fit cvnet's --seed too
+        ap.error(f"argument --seed: must be < 2**64 - 1 (the search uses seed + 1), got {args.seed}")
     args.out = args.out or Path(f"{args.protocol}_scale_results")
     # An output directory that cannot be made is a usage error, like a bad flag.
     for kind in args.kinds:

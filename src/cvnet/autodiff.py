@@ -68,7 +68,7 @@ import numpy as np
 
 from .complex_ops import COMPLEX, DimensionError, ensure_finite, squared_norm
 
-EPS_DEFAULT = 1e-6
+EPS = 1e-6  # wirtinger_pair_numeric's finite-difference step
 
 # Ops whose output is real for every complex input. Only these may be the
 # root of backward(); see the module docstring for why.
@@ -442,9 +442,7 @@ def compose_pairs(outer: JacobianPair, inner: JacobianPair) -> JacobianPair:
     return JacobianPair(j, jc)
 
 
-def wirtinger_pair_numeric(
-    f: Callable[[np.ndarray], np.ndarray], z0, eps: float = EPS_DEFAULT
-) -> JacobianPair:
+def wirtinger_pair_numeric(f: Callable[[np.ndarray], np.ndarray], z0) -> JacobianPair:
     """Central finite-difference estimate of (dF/dz, dF/d(conj z)) at z0.
 
     Perturbs each element along the real and imaginary axes and combines
@@ -452,8 +450,6 @@ def wirtinger_pair_numeric(
     This is the independent oracle used by the gradient-check suite. It
     works in complex128 whatever z0's dtype, since it steps along i.
     """
-    if eps <= 0:
-        raise ValueError(f"eps must be positive, got {eps}")
     z0 = np.asarray(z0, dtype=COMPLEX)
 
     def probe(z):
@@ -469,15 +465,15 @@ def wirtinger_pair_numeric(
         zp[k] = flat[k] + step
         zm = flat.copy()
         zm[k] = flat[k] - step
-        return (probe(zp.reshape(z0.shape)) - probe(zm.reshape(z0.shape))) / (2 * eps)
+        return (probe(zp.reshape(z0.shape)) - probe(zm.reshape(z0.shape))) / (2 * EPS)
 
     y0 = probe(z0)
     n, m = z0.size, y0.size
     j = np.empty((m, n), dtype=COMPLEX)
     jc = np.empty((m, n), dtype=COMPLEX)
     for k in range(n):
-        dfdx = central(k, eps)
-        dfdy = central(k, 1j * eps)
+        dfdx = central(k, EPS)
+        dfdy = central(k, 1j * EPS)
         j[:, k] = 0.5 * (dfdx - 1j * dfdy)
         jc[:, k] = 0.5 * (dfdx + 1j * dfdy)
     return JacobianPair(j, jc)

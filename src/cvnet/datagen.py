@@ -278,9 +278,10 @@ def _draw(kind: DatasetKind, rng: np.random.Generator, full_phase_range: bool):
 
 
 def draw_spec(
-    kind: DatasetKind, rng: np.random.Generator, full_phase_range: bool = False
+    kind: DatasetKind | str, rng: np.random.Generator, full_phase_range: bool = False
 ) -> WaveformSpec:
     """One observation's spec, whole: the blocks of the kind's _draw_* generator joined."""
+    kind = DatasetKind(kind)
     blocks = _draw(kind, rng, full_phase_range)
     freqs, amps, phases = (np.concatenate(parts) for parts in zip(*blocks))
     return WaveformSpec(freqs=freqs, amps=amps, phases=phases, analytic=kind.analytic)
@@ -316,6 +317,7 @@ class DatasetBundle:
     test: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "kind", DatasetKind(self.kind))
         for name in _PARTITION_STREAMS:
             object.__setattr__(self, name, _observations(getattr(self, name), self.kind))
 
@@ -406,7 +408,7 @@ def read_partition(path, name: str) -> tuple[DatasetKind, np.ndarray]:
 # Model-facing views
 # ---------------------------------------------------------------------------
 
-def model_dims(kind: DatasetKind, field: str) -> tuple[int, int]:
+def model_dims(kind: DatasetKind | str, field: str) -> tuple[int, int]:
     """(d_in, d_out) a model needs for this dataset kind and field.
 
     Real models on analytic data see each complex frame split into its
@@ -414,6 +416,7 @@ def model_dims(kind: DatasetKind, field: str) -> tuple[int, int]:
     order re x_0, im x_0, re x_1, im x_1, ...; real models on real data see
     the real part only.
     """
+    kind = DatasetKind(kind)
     if field == "complex":
         return FRAME_LEN, FRAME_LEN
     if field == "real":
@@ -421,7 +424,7 @@ def model_dims(kind: DatasetKind, field: str) -> tuple[int, int]:
     raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
 
 
-def _observations(samples: np.ndarray, kind: DatasetKind) -> np.ndarray:
+def _observations(samples: np.ndarray, kind: DatasetKind | str) -> np.ndarray:
     """Samples as a C-contiguous (n, 1024) matrix of the kind's dtype; one observation may be 1-D.
 
     The one dtype rule: analytic kinds hold complex128, real-valued kinds
@@ -430,6 +433,7 @@ def _observations(samples: np.ndarray, kind: DatasetKind) -> np.ndarray:
     C-contiguous complex128 and float64 input pass uncopied; contiguous
     rows are what lets complex samples be read as float64 (build_views).
     """
+    kind = DatasetKind(kind)
     if kind.analytic:
         samples = np.ascontiguousarray(samples, dtype=COMPLEX)
     else:
@@ -442,7 +446,7 @@ def _observations(samples: np.ndarray, kind: DatasetKind) -> np.ndarray:
 
 
 def build_views(
-    samples: np.ndarray, kind: DatasetKind, field: str
+    samples: np.ndarray, kind: DatasetKind | str, field: str
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Batch input/target matrices, one observation per column.
 

@@ -1,10 +1,10 @@
 """Gradient checks of every analytic derivative against finite differences.
 
 Each registered elementwise op, the squared-error loss, a dense layer, and
-the unrolled recurrent model are probed at seeded random points and their
-analytic cogradients compared with the central-difference Wirtinger
-oracle. The suite is deterministic given the seed and runs in seconds;
-it backs both the `gradcheck` CLI command and the acceptance tests.
+the unrolled recurrent model are probed at N_PROBES seeded random points
+and their analytic cogradients compared with the central-difference
+Wirtinger oracle. The suite is deterministic given the seed and runs in
+seconds; it backs the `gradcheck` CLI command and the acceptance tests.
 """
 
 from __future__ import annotations
@@ -19,57 +19,48 @@ from . import autodiff as ad
 from . import nn
 from .complex_ops import make_rng, sample_circular_gaussian
 
-RTOL_DEFAULT = 1e-5
-ATOL_DEFAULT = 1e-8
+N_PROBES = 10
+RTOL = 1e-5
+ATOL = 1e-8
 
 
 @dataclass(frozen=True)
 class CheckEntry:
     name: str
     max_err: float
-    tol: float
     passed: bool
 
 
-def _rel_err(analytic: np.ndarray, numeric: np.ndarray, atol: float, rtol: float = RTOL_DEFAULT) -> float:
-    """Max scaled error; a value below rtol means |a - n| <= atol + rtol|n|."""
-    analytic = np.asarray(analytic)
-    numeric = np.asarray(numeric)
-    return float(np.max(np.abs(analytic - numeric) / (atol / rtol + np.abs(numeric))))
+def _rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
+    """Max scaled error; a value below RTOL means |a - n| <= ATOL + RTOL|n|."""
+    return float(np.max(np.abs(analytic - numeric) / (ATOL / RTOL + np.abs(numeric))))
 
 
-def _probe_loop(name: str, rng, n_probes: int, rtol: float, err) -> CheckEntry:
-    """Worst of err(rng, k) over the probes k < n_probes; a NaN error fails the entry."""
-    if n_probes < 1:  # no probe would pass every entry unchecked
-        raise ValueError(f"n_probes must be at least 1, got {n_probes}")
-    worst = float(np.max([err(rng, k) for k in range(n_probes)]))
-    return CheckEntry(name, worst, rtol, worst < rtol)
+def _probe_loop(name: str, rng, err) -> CheckEntry:
+    """Worst of err(rng, k) over the probes k < N_PROBES; a NaN error fails the entry."""
+    worst = float(np.max([err(rng, k) for k in range(N_PROBES)]))
+    return CheckEntry(name, worst, worst < RTOL)
 
 
-def check_elementwise_op(
-    name: str, seed: int, n_probes: int = 10, rtol: float = RTOL_DEFAULT
-) -> CheckEntry:
+def _op_err(name: str, rng, _k) -> float:
     """Analytic (J, Jc) of a registered op vs the numeric pair."""
     op = ad.REGISTRY[name]
-
-    def err(rng, _k):
-        z = 0.5 * op.probe_radius * sample_circular_gaussian(rng, 3, 1.0)
-        numeric = ad.wirtinger_pair_numeric(op.fn, z)
-        analytic = ad.pair_at(name, z)
-        return _rel_err(np.stack([analytic.j, analytic.jc]),
-                        np.stack([numeric.j, numeric.jc]), ATOL_DEFAULT)
-
-    rng = make_rng(seed, zlib.crc32(name.encode()))  # str hash() is salted per process
-    return _probe_loop(f"op:{name}", rng, n_probes, rtol, err)
+    z = 0.5 * op.probe_radius * sample_circular_gaussian(rng, 3, 1.0)
+    numeric = ad.wirtinger_pair_numeric(op.fn, z)
+    analytic = ad.pair_at(name, z)
+    return _rel_err(np.stack([analytic.j, analytic.jc]), np.stack([numeric.j, numeric.jc]))
 
 
-def _tensor_grads_vs_oracle(params: dict[str, np.ndarray], build) -> float:
-    """Max relative error of backward() grads over every parameter tensor.
+def _tensor_grads_vs_oracle(draw, rng, k) -> float:
+    """Max relative error of backward() grads over every parameter tensor of probe k.
 
-    build(leaves) must return the loss Var of the graph on the leaf Vars
-    {name: Var(params[name])}. The oracle differentiates the scalar loss
-    with respect to one tensor at a time, holding the others fixed.
+    draw(rng, k) returns (params, build), and build(leaves) must return
+    the loss Var of the graph on the leaf Vars {name: Var(params[name])}.
+    The oracle differentiates the scalar loss with respect to one tensor
+    at a time, holding the others fixed.
     """
+    params, build = draw(rng, k)
+
     def loss_at(arrays):
         leaves = {name: ad.Var(arr) for name, arr in arrays.items()}
         return build(leaves), leaves
@@ -81,7 +72,7 @@ def _tensor_grads_vs_oracle(params: dict[str, np.ndarray], build) -> float:
         def f(t, _name=name):
             return loss_at({**params, _name: t})[0].value
         oracle = ad.wirtinger_pair_numeric(f, params[name])
-        errs.append(_rel_err(var.grad, oracle.jc.reshape(var.grad.shape), ATOL_DEFAULT))
+        errs.append(_rel_err(var.grad, oracle.jc.reshape(var.grad.shape)))
     return float(np.max(errs))
 
 
@@ -148,23 +139,26 @@ def _draw_recurrent(variant: str, rng, _k):
     return model.params(), build
 
 
-def run_gradcheck(seed: int = 2024, n_probes: int = 10, rtol: float = RTOL_DEFAULT) -> list[CheckEntry]:
-    graph_checks = [("loss:mse", 101, _draw_mse), ("layer:dense", 202, _draw_dense)]
-    graph_checks += [(f"layer:recurrent-{variant}", stream, partial(_draw_recurrent, variant))
-                     for variant, (*_, stream) in _RECURRENT_VARIANTS.items()]
-    entries = [check_elementwise_op(name, seed, n_probes, rtol) for name in sorted(ad.REGISTRY)]
-    for name, stream, draw in graph_checks:
-        def err(rng, k, draw=draw):
-            return _tensor_grads_vs_oracle(*draw(rng, k))
-        entries.append(_probe_loop(name, make_rng(seed, stream), n_probes, rtol, err))
-    return entries
+def _checks() -> list[tuple]:
+    """Every check as (name, stream, err): each op, then each graph."""
+    graphs = [("loss:mse", 101, _draw_mse), ("layer:dense", 202, _draw_dense)]
+    graphs += [(f"layer:recurrent-{variant}", stream, partial(_draw_recurrent, variant))
+               for variant, (*_, stream) in _RECURRENT_VARIANTS.items()]
+    # An op's stream is its name's crc32: str hash() is salted per process.
+    return ([(f"op:{name}", zlib.crc32(name.encode()), partial(_op_err, name))
+             for name in sorted(ad.REGISTRY)]
+            + [(name, stream, partial(_tensor_grads_vs_oracle, draw)) for name, stream, draw in graphs])
+
+
+def run_gradcheck(seed: int = 2024) -> list[CheckEntry]:
+    return [_probe_loop(name, make_rng(seed, stream), err) for name, stream, err in _checks()]
 
 
 def format_report(entries: list[CheckEntry]) -> str:
     lines = []
     for e in entries:
         status = "PASS" if e.passed else "FAIL"
-        lines.append(f"{status}  {e.name:<24} max_rel_err={e.max_err:.3e}  tol={e.tol:.1e}")
+        lines.append(f"{status}  {e.name:<24} max_rel_err={e.max_err:.3e}  tol={RTOL:.1e}")
     return "\n".join(lines)
 
 

@@ -140,7 +140,7 @@ def _check_dims(model: nn.RecurrentModel, kind: datagen.DatasetKind) -> None:
     if model.d_in != d_in or model.d_out != d_out:
         raise ConfigError(
             f"model dims ({model.d_in}, {model.d_out}) do not match "
-            f"{kind.value}/{model.field} data dims ({d_in}, {d_out})"
+            f"{datagen.DatasetKind(kind).value}/{model.field} data dims ({d_in}, {d_out})"
         )
 
 

@@ -42,10 +42,6 @@ class TestNumericOracle:
         with pytest.raises(ad.EvaluationError, match="probe"):
             ad.wirtinger_pair_numeric(f, scalar(1 + 1j))
 
-    def test_eps_must_be_positive(self):
-        with pytest.raises(ValueError):
-            ad.wirtinger_pair_numeric(lambda z: z, scalar(0j), eps=0.0)
-
 
 class TestComposePairs:
     def test_holomorphic_composition_stays_holomorphic(self):

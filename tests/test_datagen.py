@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from cvnet import datagen as dg
-from cvnet import nn
+from cvnet import nn, trainer
 from cvnet.complex_ops import FormatError, make_rng
 from cvnet.spectral import dft, negative_bins
 
@@ -348,6 +348,48 @@ class TestFrames:
     def test_wrong_length(self):
         with pytest.raises(ValueError):
             complex_frames(np.zeros(1000))
+
+
+def _spec_bytes(kind, x):
+    spec = dg.draw_spec(kind, make_rng(3, 1))
+    return [spec.freqs.tobytes(), spec.amps.tobytes(), spec.phases.tobytes(), spec.analytic]
+
+
+def _views_bytes(kind, x):
+    frames, target = dg.build_views(x, kind, "complex")
+    return [v.tobytes() for v in (*frames, target)]
+
+
+def _bundle_kind(kind, x):
+    bundle = dg.DatasetBundle(kind, 1, x, x[:1], x[:1])
+    return type(bundle.kind), bundle.kind, bundle.train.tobytes()
+
+
+def _evaluate(kind, x):
+    model = nn.init_model(256, 4, 256, field="complex", init_scale=0.5, seed=1)
+    return trainer.evaluate(model, x, kind)
+
+
+# Each public entry point that takes a dataset kind, called as f(kind, samples).
+_KIND_ENTRY_POINTS = {
+    "draw_spec": _spec_bytes,
+    "model_dims": lambda kind, x: dg.model_dims(kind, "real"),
+    "build_views": _views_bytes,
+    "DatasetBundle": _bundle_kind,
+    "evaluate": _evaluate,
+    "zero_baseline_mse": lambda kind, x: trainer.zero_baseline_mse(x, kind, "complex"),
+}
+
+
+@pytest.mark.parametrize("entry", _KIND_ENTRY_POINTS)
+def test_kind_given_as_its_string(entry):
+    # generate_bundle's rule, DatasetKind(kind), at every entry point.
+    call = _KIND_ENTRY_POINTS[entry]
+    kind = dg.DatasetKind.SAWTOOTH_ANALYTIC
+    x = dg.generate_bundle(kind, 5, 3, 1, 1).train
+    assert call(kind.value, x) == call(kind, x)
+    with pytest.raises(ValueError, match="bogus"):
+        call("bogus", x)
 
 
 class TestBundleIO:

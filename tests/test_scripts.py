@@ -91,7 +91,9 @@ def test_protocol_table_holds_the_paper_and_desk_protocols(monkeypatch):
     ["--protocol", "paper"],
     ["--jobs", "2"],
     ["--protocol", "desk", "--out", "/dev/null/out"],
-], ids=["jobs-0", "trials-0", "unknown-protocol", "no-protocol", "out-not-a-directory"])
+    ["--protocol", "desk", "--seed", str(2**64 - 1)],
+], ids=["jobs-0", "trials-0", "unknown-protocol", "no-protocol", "out-not-a-directory",
+        "search-seed-past-u64"])
 def test_protocol_usage_error_is_one_line(tmp_path, args):
     proc = _run_protocol("--out", tmp_path / "out", *args)
     assert proc.returncode == 2

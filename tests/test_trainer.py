@@ -183,6 +183,9 @@ class TestTrain:
                                   epochs=1, batch_size=20)
         with pytest.raises(trainer.ConfigError, match="dims"):
             trainer.train(model, small_data, cfg)
+        # The message names a kind given as its value string too.
+        with pytest.raises(trainer.ConfigError, match="sawtooth/real data dims"):
+            trainer.evaluate(model, small_data.val, "sawtooth")
 
     def test_empty_partition_is_config_error(self, small_data):
         cfg = trainer.TrainConfig(lr0=1e-3, half_life=20.0, init_scale=0.4,
@@ -343,16 +346,25 @@ class TestRandomSearch:
 
     def test_jobs_do_not_change_output_bytes(self, small_data, tmp_path):
         # The real field sends float64 models through the pool's pickling.
-        for field in ("complex", "real"):
-            kw = dict(field=field, hidden=4, n_trials=2, seed=6, epochs=3, batch_size=30)
+        # At hidden 4 BLAS starts no threads. At hidden 128 and batch 500 it
+        # does, and one BLAS thread gives other bytes than two, so that case
+        # fails if pool workers run another thread count than the in-process
+        # path. On a 1-core host both run one thread, and it cannot fail.
+        threaded = dg.generate_bundle(dg.DatasetKind.SAWTOOTH, 2024, n_train=1000, n_val=200,
+                                      n_test=0)
+        cases = [(small_data, field, dict(hidden=4, epochs=3, batch_size=30))
+                 for field in ("complex", "real")]
+        cases.append((threaded, "complex", dict(hidden=128, epochs=2, batch_size=500)))
+        for i, (data, field, shape) in enumerate(cases):
+            kw = dict(field=field, n_trials=2, seed=6, **shape)
             outputs = []
             for jobs in (1, 2):
-                res = trainer.random_search(small_data, jobs=jobs, **kw)
-                out = tmp_path / f"{field}_jobs{jobs}"
+                res = trainer.random_search(data, jobs=jobs, **kw)
+                out = tmp_path / f"case{i}_jobs{jobs}"
                 trainer.write_search_outputs(res, out)
                 outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
-            assert len(outputs[0]) == 4, field
-            assert outputs[0] == outputs[1], field
+            assert len(outputs[0]) == 4, (field, shape)
+            assert outputs[0] == outputs[1], (field, shape)
 
     @pytest.fixture
     def pool(self, monkeypatch):
