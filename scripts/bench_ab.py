@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """A/B benchmark: a parent commit against the working tree, in alternating pairs.
 
-    python scripts/bench_ab.py --out BENCH_6.json --pairs 10 --parent HEAD~1
-    python scripts/bench_ab.py --out BENCH_9.json --pairs 10 --parent HEAD~1 --trace
+    python scripts/bench_ab.py --out BENCH_6.json --parent HEAD~1
+    python scripts/bench_ab.py --out BENCH_9.json --parent HEAD~1 --trace
 
 The parent commit (--parent, default HEAD) is exported with `git archive`
 into a temporary directory. For every workload, pair k = 1..pairs runs
@@ -162,7 +162,7 @@ def main(argv=None) -> int:
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--parent", default="HEAD", help="git revision to compare against")
     ap.add_argument("--workloads", nargs="+", help="default: every workload in BENCHMARK.json")
-    ap.add_argument("--pairs", type=int, default=5, help="alternating pairs per workload")
+    ap.add_argument("--pairs", type=int, default=10, help="alternating pairs per workload")
     ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--quick", action="store_true", help="tiny shapes; checks the plumbing only")
     ap.add_argument("--trace", action="store_true",

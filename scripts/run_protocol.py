@@ -13,25 +13,10 @@ sawtooth on one core (BENCH_29.json; no 1000-epoch trial has run), and
 each dataset file takes about 197 MB. The flags after --jobs override the
 protocol's table entry, to carve out slices. All outputs are
 deterministic in --seed; the search seed is the data seed + 1.
-
-BLAS runs one thread per process: OPENBLAS_NUM_THREADS, OMP_NUM_THREADS
-and MKL_NUM_THREADS default to 1, and a value the caller set wins. The
-thread count changes output bits (ROADMAP's "Measured baseline" gives
-md5s at one and two threads), so one fixed count keeps the outputs
-the same for every --jobs and core count, and --jobs N runs N BLAS
-threads, not N times the library's default. On a 2-core host a 4-trial
-desk search at --jobs 2 took 8.6-9.4 s pinned against 55-70 s unpinned.
-The cost is at --jobs 1, where BLAS could have used the idle core: a
-2-trial desk search took 8.9-9.8 s pinned against 6.7-8.0 s unpinned.
 """
 
-import os
 import time
 from pathlib import Path
-
-# Before cvnet loads numpy, whose BLAS reads these once.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ.setdefault(_var, "1")
 
 from cvnet import cli, datagen
 
@@ -53,9 +38,7 @@ def parse_args(argv=None):
     ap.add_argument("--seed", type=cli.SEED)
     ap.add_argument("--kinds", nargs="+", choices=KINDS)
     ap.add_argument("--fields", nargs="+", choices=FIELDS, default=FIELDS)
-    for name in ("--train", "--val", "--test"):
-        ap.add_argument(name, type=cli.COUNT)
-    for name in ("--hidden", "--epochs", "--trials", "--batch-size"):
+    for name in ("--train", "--val", "--test", "--hidden", "--epochs", "--trials", "--batch-size"):
         ap.add_argument(name, type=cli.POSITIVE)
     args = ap.parse_args(argv)
     for key, value in PROTOCOLS[args.protocol].items():

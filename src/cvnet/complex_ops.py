@@ -11,10 +11,18 @@ finiteness is enforced at boundaries, shape mismatches raise a DimensionError
 naming both shapes, and all randomness flows through seeded PCG64 generators
 so that identical seeds give identical streams for a fixed numpy version.
 BlockFormat is the one binary container of dataset and checkpoint files.
+
+BLAS runs one thread unless the caller set one of BLAS_THREAD_VARS: at
+import, numpy's OpenBLAS is told to use one thread, because the count
+changes output bits (ROADMAP's "Measured baseline"). So every command,
+library call and search worker, at any --jobs, gives the same bits, and
+--jobs N runs N threads. Without an entry point known here, BLAS keeps
+its library's default.
 """
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import struct
@@ -24,8 +32,27 @@ from typing import Callable, Container, Iterable, Sequence
 import numpy as np
 
 COMPLEX = np.complex128
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 _CHUNK = 1 << 16  # (re, im) pairs staged per block transfer: 1 MiB
+
+
+def _blas_set_num_threads():
+    """numpy's OpenBLAS set_num_threads, or None; the name differs between builds.
+
+    A lookup through numpy's extension module also searches the libraries it links.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except (AttributeError, OSError):
+        return None
+    names = ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+             "openblas_set_num_threads")
+    return next((getattr(lib, name) for name in names if hasattr(lib, name)), None)
+
+
+if not any(os.environ.get(var) for var in BLAS_THREAD_VARS) and (_set := _blas_set_num_threads()):
+    _set(1)
 
 
 class DimensionError(ValueError):

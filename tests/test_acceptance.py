@@ -3,7 +3,7 @@
 Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines. The desk-scale protocol is pinned here: sawtooth data seed 42 with
 500/200/200 observations, hidden size 32, 200 epochs, 10 search trials,
-batch size 250 (two steps per epoch), search seed 7.
+batch size 250 (two steps per epoch), search seed 7, two search workers.
 
 Criterion 7 is implemented faithfully and is expected to FAIL. Three
 measured facts (ROADMAP.md, "Measured baseline") say why as far as is
@@ -32,7 +32,7 @@ from cvnet.complex_ops import make_rng, sample_circular_gaussian
 DATA_SEED = 42
 SEARCH_SEED = 7
 DIVERGE_SEED = 5
-DESK = dict(hidden=32, n_trials=10, epochs=200, batch_size=250)
+DESK = dict(hidden=32, n_trials=10, epochs=200, batch_size=250, jobs=2)
 
 
 def report(cid: str, passed: bool, detail: str = "") -> None:

@@ -10,12 +10,12 @@ from pathlib import Path
 import pytest
 
 import cvnet
+from cvnet import complex_ops
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
 SCRIPT = ROOT / "scripts" / "run_protocol.py"
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def _env():
@@ -58,24 +58,67 @@ def test_protocol_output_layout(tmp_path, protocol, kinds):
     assert proc.stdout.count("baseline=") == proc.stdout.count("test_mse=") == 2 * len(kinds)
 
 
+@pytest.mark.skipif(complex_ops._blas_set_num_threads() is None,
+                    reason="numpy's BLAS exports no OpenBLAS set_num_threads entry point, "
+                           "so cvnet leaves its thread count to the library")
 @pytest.mark.parametrize("preset", [None, "3"], ids=["unset", "caller-set"])
 def test_protocol_pins_blas_to_one_thread_unless_the_caller_set_it(preset):
-    env = {k: v for k, v in _env().items() if k not in BLAS_VARS}
+    # The script sets nothing itself: the rule comes with cvnet's import.
+    # Each process prints the thread count OpenBLAS runs, read through the
+    # getter named like cvnet's setter; the second never imports cvnet.
+    env = {k: v for k, v in _env().items() if k not in complex_ops.BLAS_THREAD_VARS}
     if preset:
-        env.update(dict.fromkeys(BLAS_VARS, preset))
-    code = (f"import os, runpy; runpy.run_path({str(SCRIPT)!r}); "
-            f"print(*(os.environ[v] for v in {BLAS_VARS!r}))")
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                          text=True, timeout=60)
+        env.update(dict.fromkeys(complex_ops.BLAS_THREAD_VARS, preset))
+    getter = complex_ops._blas_set_num_threads().__name__.replace("set_num", "get_num")
+    count = ("import ctypes, numpy; print(getattr(ctypes.CDLL("
+             f"numpy._core._multiarray_umath.__file__), {getter!r})())")
+    counts = []
+    for prelude in (f"import runpy; runpy.run_path({str(SCRIPT)!r}); ", ""):
+        proc = subprocess.run([sys.executable, "-c", prelude + count], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        counts.append(int(proc.stdout))
+    with_script, library_default = counts
+    assert with_script == (library_default if preset else 1)
+
+
+def _cvnet(*args, env):
+    code = "import sys; from cvnet.cli import main; sys.exit(main(sys.argv[1:]))"
+    return subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+@pytest.mark.skipif((os.cpu_count() or 1) < 2,
+                    reason="one core: OpenBLAS caps a thread variable at the core count, "
+                           "so no setting runs two threads")
+@pytest.mark.skipif(complex_ops._blas_set_num_threads() is None,
+                    reason="numpy's BLAS exports no OpenBLAS set_num_threads entry point, "
+                           "so cvnet leaves its thread count to the library")
+def test_blas_runs_one_thread_unless_the_caller_set_a_thread_variable(tmp_path):
+    # The shape of ROADMAP's "The BLAS thread count changes output bits",
+    # where one BLAS thread gives other bytes than two.
+    env = {k: v for k, v in _env().items() if k not in complex_ops.BLAS_THREAD_VARS}
+    data = tmp_path / "data.cvds"
+    proc = _cvnet("gen", "--kind", "sawtooth", "--train", 1000, "--val", 200, "--test", 0,
+                  "--seed", 2024, "--out", data, env=env)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [preset or "1"] * len(BLAS_VARS)
+
+    def search(jobs, **blas):
+        out = tmp_path / f"jobs{jobs}_{blas.get('OPENBLAS_NUM_THREADS', 'unset')}"
+        proc = _cvnet("search", "--data", data, "--field", "complex", "--hidden", 128,
+                      "--batch-size", 500, "--trials", 2, "--epochs", 2, "--seed", 6,
+                      "--jobs", jobs, "--out", out, env=dict(env, **blas))
+        assert proc.returncode == 0, proc.stderr
+        return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+    one_thread = search(1, OPENBLAS_NUM_THREADS="1")
+    assert len(one_thread) == 4
+    assert search(1) == one_thread
+    assert search(2) == one_thread
+    assert search(1, OPENBLAS_NUM_THREADS="2") != one_thread  # the caller's value wins
 
 
-def test_protocol_table_holds_the_paper_and_desk_protocols(monkeypatch):
-    # The script runs in process here; set through monkeypatch, its BLAS
-    # variables are restored afterwards instead of leaking into later tests.
-    for var in BLAS_VARS:
-        monkeypatch.setenv(var, os.environ.get(var, "1"))
+def test_protocol_table_holds_the_paper_and_desk_protocols():
     protocols = runpy.run_path(str(SCRIPT))["PROTOCOLS"]
     assert protocols["full"] == dict(
         seed=1, kinds=["sawtooth", "sawtooth-analytic", "inharmonic", "inharmonic-analytic"],
@@ -92,8 +135,11 @@ def test_protocol_table_holds_the_paper_and_desk_protocols(monkeypatch):
     ["--jobs", "2"],
     ["--protocol", "desk", "--out", "/dev/null/out"],
     ["--protocol", "desk", "--seed", str(2**64 - 1)],
+    ["--protocol", "desk", "--test", "0"],
+    ["--protocol", "desk", "--val", "0"],
+    ["--protocol", "desk", "--train", "0"],
 ], ids=["jobs-0", "trials-0", "unknown-protocol", "no-protocol", "out-not-a-directory",
-        "search-seed-past-u64"])
+        "search-seed-past-u64", "test-0", "val-0", "train-0"])
 def test_protocol_usage_error_is_one_line(tmp_path, args):
     proc = _run_protocol("--out", tmp_path / "out", *args)
     assert proc.returncode == 2
