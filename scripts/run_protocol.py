@@ -79,7 +79,7 @@ def main(argv=None) -> int:
             filters = out / f"filters_{field}.csv"
             if model.exists():
                 _cli("eval", "--model", model, "--data", data, "--partition", "test")
-                _cli("filters", "--model", model, "--rows", 3, "--out", filters)
+                _cli("filters", "--model", model, "--rows", min(3, args.hidden), "--out", filters)
             else:  # no earlier run's responses beside this run's search
                 filters.unlink(missing_ok=True)
     return 0

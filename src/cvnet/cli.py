@@ -43,7 +43,7 @@ def _int_type(lo: int, bits: int | None = None):
 
 SEED = _int_type(0, bits=64)  # seeds feed SeedSequence and the u64 dataset header
 COUNT = _int_type(0)  # observations per partition
-POSITIVE = _int_type(1)  # hidden width, worker processes, filter rows
+POSITIVE = _int_type(1)  # hidden width, epochs, batch size, trials, workers, filter rows
 
 
 def _add_seed(p: argparse.ArgumentParser) -> None:
@@ -55,8 +55,8 @@ def _add_training(p: argparse.ArgumentParser) -> None:
     p.add_argument("--data", required=True)
     p.add_argument("--field", required=True, choices=["complex", "real"])
     p.add_argument("--hidden", type=POSITIVE, default=256)
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--batch-size", type=int, default=1000)
+    p.add_argument("--epochs", type=POSITIVE, default=1000)
+    p.add_argument("--batch-size", type=POSITIVE, default=1000)
     p.add_argument("--out", required=True)
     _add_seed(p)
 
@@ -68,7 +68,6 @@ def cmd_gen(args) -> int:
         n_train=args.train,
         n_val=args.val,
         n_test=args.test,
-        full_phase_range=args.full_phase_range,
     )
     datagen.write_dataset(bundle, args.out)
     size = Path(args.out).stat().st_size
@@ -86,7 +85,6 @@ def cmd_train(args) -> int:
         momentum=args.momentum,
         epochs=args.epochs,
         batch_size=args.batch_size,
-        clip=args.clip,
     )
     d_in, d_out = datagen.model_dims(data.kind, args.field)
     model = nn.init_model(
@@ -162,8 +160,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--train", type=COUNT, default=10000)
     p.add_argument("--val", type=COUNT, default=1000)
     p.add_argument("--test", type=COUNT, default=1000)
-    p.add_argument("--full-phase-range", action="store_true",
-                   help="draw phases from [0, 2*pi) instead of [0, 1) radians")
     p.add_argument("--out", required=True)
     _add_seed(p)
     p.set_defaults(fn=cmd_gen)
@@ -174,13 +170,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--half-life", type=float, required=True)
     p.add_argument("--init-scale", type=float, required=True)
-    p.add_argument("--clip", type=float, default=None,
-                   help="optional global-norm gradient clip threshold (> 0)")
     p.set_defaults(fn=cmd_train)
 
     p = sub.add_parser("search", help="seeded random hyperparameter search")
     _add_training(p)
-    p.add_argument("--trials", type=int, default=100)
+    p.add_argument("--trials", type=POSITIVE, default=100)
     p.add_argument("--jobs", type=POSITIVE, default=1)
     p.set_defaults(fn=cmd_search)
 

@@ -13,9 +13,7 @@ phases on a 1024-sample grid split into four 256-sample frames:
   inharmonic-analytic analytic variant of the above.
 
 Component phases are drawn from U[0, 1) radians (deliberately narrower
-than a full turn); pass full_phase_range=True to widen to U[0, 2*pi) for
-sensitivity experiments. Frequencies are in cycles/sample with Nyquist at
-0.5.
+than a full turn). Frequencies are in cycles/sample with Nyquist at 0.5.
 
 A bundle's sample dtype follows its kind: real-valued kinds hold float64
 samples, analytic kinds complex128 (_observations is the one rule). Files
@@ -241,7 +239,7 @@ def synthesize(spec: WaveformSpec) -> np.ndarray:
 # drawing it whole (O'Neill, "PCG", HMC-CS-2014-0905, 2014), so the phases
 # can be drawn block by block as the blocks are rendered.
 
-def _draw_sawtooth(rng: np.random.Generator, phase_hi: float):
+def _draw_sawtooth(rng: np.random.Generator):
     """Fundamental f0 ~ U(0, 0.5); harmonics n = 1, 2, ... while n*f0 < Nyquist.
 
     Amplitudes follow 1/n, the fundamental's included, and each component
@@ -253,42 +251,39 @@ def _draw_sawtooth(rng: np.random.Generator, phase_hi: float):
     n_max = math.ceil(NYQUIST / f0) - 1
     for lo in range(0, n_max, _BLOCK):
         n = np.arange(lo + 1, min(lo + _BLOCK, n_max) + 1, dtype=np.float64)
-        yield f0 * n, 1.0 / n, rng.uniform(0.0, phase_hi, len(n))
+        yield f0 * n, 1.0 / n, rng.uniform(0.0, 1.0, len(n))
 
 
 _INHARMONIC_AMPS = np.full(5, 0.2)
 _INHARMONIC_AMPS.flags.writeable = False  # shared by every draw; specs and batches copy it
 
 
-def _draw_inharmonic(rng: np.random.Generator, phase_hi: float):
+def _draw_inharmonic(rng: np.random.Generator):
     """Five independent uniform frequencies, amplitude 0.2 each, in one block.
 
     Draw order: the five frequencies, then the five phases.
     """
     freqs = rng.uniform(0.0, NYQUIST, 5)
-    phases = rng.uniform(0.0, phase_hi, 5)
+    phases = rng.uniform(0.0, 1.0, 5)
     yield freqs, _INHARMONIC_AMPS, phases
 
 
-def _draw(kind: DatasetKind, rng: np.random.Generator, full_phase_range: bool):
-    phase_hi = 2.0 * np.pi if full_phase_range else 1.0
+def _draw(kind: DatasetKind, rng: np.random.Generator):
     if kind in (DatasetKind.SAWTOOTH, DatasetKind.SAWTOOTH_ANALYTIC):
-        return _draw_sawtooth(rng, phase_hi)
-    return _draw_inharmonic(rng, phase_hi)
+        return _draw_sawtooth(rng)
+    return _draw_inharmonic(rng)
 
 
-def draw_spec(
-    kind: DatasetKind | str, rng: np.random.Generator, full_phase_range: bool = False
-) -> WaveformSpec:
+def draw_spec(kind: DatasetKind | str, rng: np.random.Generator) -> WaveformSpec:
     """One observation's spec, whole: the blocks of the kind's _draw_* generator joined."""
     kind = DatasetKind(kind)
-    blocks = _draw(kind, rng, full_phase_range)
+    blocks = _draw(kind, rng)
     freqs, amps, phases = (np.concatenate(parts) for parts in zip(*blocks))
     return WaveformSpec(freqs=freqs, amps=amps, phases=phases, analytic=kind.analytic)
 
 
-def draw_sawtooth_spec(rng: np.random.Generator, full_phase_range: bool = False) -> WaveformSpec:
-    return draw_spec(DatasetKind.SAWTOOTH, rng, full_phase_range)
+def draw_sawtooth_spec(rng: np.random.Generator) -> WaveformSpec:
+    return draw_spec(DatasetKind.SAWTOOTH, rng)
 
 
 def periods_per_frame(spec: WaveformSpec) -> float:
@@ -327,14 +322,14 @@ class DatasetBundle:
         return getattr(self, name)
 
 
-def _gen_partition(kind, seed, stream, count, full_phase_range):
+def _gen_partition(kind, seed, stream, count):
     """Observations 0..count-1 of one partition, rendered in batches.
 
     Observation i draws from make_rng(seed, stream, i), its phases a block
     at a time as _render_rows takes its blocks, and row i has the bytes of
-    synthesize(draw_spec(kind, make_rng(seed, stream, i), full_phase_range)).
+    synthesize(draw_spec(kind, make_rng(seed, stream, i))).
     """
-    drawn = (_draw(kind, make_rng(seed, stream, i), full_phase_range) for i in range(count))
+    drawn = (_draw(kind, make_rng(seed, stream, i)) for i in range(count))
     return _render_rows(drawn, count, kind.analytic)
 
 
@@ -344,12 +339,11 @@ def generate_bundle(
     n_train: int = 10000,
     n_val: int = 1000,
     n_test: int = 1000,
-    full_phase_range: bool = False,
 ) -> DatasetBundle:
     kind = DatasetKind(kind)
     counts = {"train": n_train, "val": n_val, "test": n_test}
     return DatasetBundle(kind=kind, seed=int(seed), **{
-        name: _gen_partition(kind, seed, stream, counts[name], full_phase_range)
+        name: _gen_partition(kind, seed, stream, counts[name])
         for name, stream in _PARTITION_STREAMS.items()
     })
 

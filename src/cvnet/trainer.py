@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import datagen, nn
-from .complex_ops import make_rng, squared_norm
+from .complex_ops import make_rng
 
 FLOAT_FMT = ".16e"  # 17 significant digits, stable across platforms
 
@@ -45,13 +45,12 @@ class TrainConfig:
     momentum: float = 0.9
     epochs: int = 1000
     batch_size: int = 1000
-    clip: float | None = None
 
     def __post_init__(self):
         # NaN fails every comparison, so each test passes only on finite values.
-        for name in ("lr0", "half_life", "init_scale", "clip"):
+        for name in ("lr0", "half_life", "init_scale"):
             value = getattr(self, name)
-            if value is not None and not abs(value) < math.inf:
+            if not abs(value) < math.inf:
                 raise ConfigError(f"{name} must be finite, got {value}")
         if self.lr0 < 0:
             raise ConfigError(f"lr0 must be >= 0, got {self.lr0}")
@@ -63,8 +62,6 @@ class TrainConfig:
             raise ConfigError(f"init_scale must be positive, got {self.init_scale}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be at least 1")
-        if self.clip is not None and self.clip <= 0:
-            raise ConfigError(f"clip must be positive, got {self.clip}")
 
 
 def lr_at(config: TrainConfig, epoch: int) -> float:
@@ -86,7 +83,6 @@ def sgd_momentum_step(
     velocity: dict[str, np.ndarray],
     lr: float,
     momentum: float,
-    clip: float | None = None,
 ) -> None:
     """In-place update v <- momentum*v - lr*g, theta <- theta + v.
 
@@ -94,11 +90,6 @@ def sgd_momentum_step(
     loss, so stepping along -g descends. Raises on non-finite updates.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        if clip is not None:
-            total = np.sqrt(sum(float(squared_norm(g)) for g in grads.values()))
-            if total > clip:
-                scale = clip / total
-                grads = {name: g * scale for name, g in grads.items()}
         for name, theta in params.items():
             v = velocity[name]
             v *= momentum
@@ -223,9 +214,7 @@ def train(
                         raise ad.NumericError("non-finite training loss")
                     ad.backward(loss)
                     grads = {name: v.grad for name, v in pvars.items()}
-                    sgd_momentum_step(
-                        model.params(), grads, velocity, lr, config.momentum, config.clip
-                    )
+                    sgd_momentum_step(model.params(), grads, velocity, lr, config.momentum)
                     loss_sum += float(loss.value.real)
                     del loss  # the step's graph goes before the next one is built
                 val_mse = float(nn.forward_loss(model, val_frames, val_target)[0].value.real)

@@ -206,10 +206,12 @@ def usage_files(tmp_path_factory, data_file):
 
 class TestUsageErrors:
     @pytest.mark.parametrize("argv, message", [
-        (TRAIN + ["--data", "DATA", "--hidden", "4", "--clip", "0"],
-         "cvnet train: error: clip must be positive, got 0.0"),
         (SEARCH + ["--data", "DATA", "--hidden", "4", "--trials", "0"],
-         "cvnet search: error: n_trials must be >= 1, got 0"),
+         "cvnet search: error: argument --trials: must be >= 1, got 0"),
+        (SEARCH + ["--data", "DATA", "--hidden", "4", "--epochs", "0"],
+         "cvnet search: error: argument --epochs: must be >= 1, got 0"),
+        (TRAIN + ["--data", "DATA", "--hidden", "4", "--batch-size", "0"],
+         "cvnet train: error: argument --batch-size: must be >= 1, got 0"),
         (SEARCH + ["--data", "SHORT", "--hidden", "4", "--trials", "1"],
          "cvnet search: error: dataset truncated in header at byte 10"),
         (GEN + ["--seed", "-1"],
@@ -261,8 +263,8 @@ class TestUsageErrors:
          "cvnet filters: error: nonzero imaginary part in checkpoint w_in at byte 27"),
         (TRAIN + ["--data", "DATA", "--hidden", "4", "--init-scale", "nan"],
          "cvnet train: error: init_scale must be finite, got nan"),
-    ], ids=["train-clip", "search-trials", "search-short-data", "gen-seed-negative",
-            "gen-seed-too-large", "gen-seed-not-int", "gen-train-negative",
+    ], ids=["search-trials", "search-epochs-zero", "train-batch-size-zero", "search-short-data",
+            "gen-seed-negative", "gen-seed-too-large", "gen-seed-not-int", "gen-train-negative",
             "gen-test-negative", "train-seed-negative", "train-hidden-zero",
             "search-hidden-zero", "search-seed-negative", "search-jobs-zero", "filters-rows-zero",
             "train-empty-train", "train-empty-val", "eval-empty-partition",
@@ -335,11 +337,24 @@ class TestChecks:
 
 
 class TestReadme:
-    def test_every_documented_command_exists(self):
-        readme = Path(__file__).resolve().parents[1] / "README.md"
-        blocks = re.findall(r"^```.*?\n(.*?)^```", readme.read_text(), re.M | re.S)
-        documented = set(re.findall(r"\bcvnet ([\w-]+)", "".join(blocks)))
-        parser = cli.build_parser()
-        (commands,) = [a.choices for a in parser._actions
+    README = Path(__file__).resolve().parents[1] / "README.md"
+
+    @staticmethod
+    def commands():
+        """cvnet's subcommand parsers by name."""
+        (commands,) = [a.choices for a in cli.build_parser()._actions
                        if isinstance(a, argparse._SubParsersAction)]
-        assert documented and documented <= set(commands)
+        return commands
+
+    def test_every_documented_command_exists(self):
+        blocks = re.findall(r"^```.*?\n(.*?)^```", self.README.read_text(), re.M | re.S)
+        documented = set(re.findall(r"\bcvnet ([\w-]+)", "".join(blocks)))
+        assert documented and documented <= set(self.commands())
+
+    def test_every_flag_in_the_cli_section_exists(self):
+        # A flag that cvnet no longer takes must not stay in the docs.
+        section = self.README.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+        documented = set(re.findall(r"(?<![\w-])--[a-z][a-z0-9-]*", section))
+        flags = {flag for p in self.commands().values()
+                 for a in p._actions for flag in a.option_strings}
+        assert documented and documented - flags == set()

@@ -102,23 +102,14 @@ class TestSawtoothSpec:
         spec = dg.draw_sawtooth_spec(rng)
         assert np.all(spec.phases >= 0) and np.all(spec.phases < 1)
 
-    def test_full_phase_range_switch(self):
-        rng = make_rng(4)
-        widest = 0.0
-        for _ in range(20):
-            spec = dg.draw_sawtooth_spec(rng, full_phase_range=True)
-            widest = max(widest, spec.phases.max(initial=0.0))
-        assert widest > 1.0  # would be impossible under the default range
-
-    @pytest.mark.parametrize("full_phase_range", [False, True])
-    def test_draw_order_is_f0_then_all_phases(self, full_phase_range):
+    def test_draw_order_is_f0_then_all_phases(self):
         # Observation 130 of seed 7's train stream has 10,018 harmonics, three
         # blocks; its phases are drawn block by block and must equal one draw.
-        spec = dg.draw_sawtooth_spec(make_rng(7, 0, 130), full_phase_range=full_phase_range)
+        spec = dg.draw_sawtooth_spec(make_rng(7, 0, 130))
         rng = make_rng(7, 0, 130)
         f0 = rng.uniform(0.0, dg.NYQUIST)
         n = np.arange(1, np.ceil(dg.NYQUIST / f0), dtype=np.float64)
-        phases = rng.uniform(0.0, 2 * np.pi if full_phase_range else 1.0, len(n))
+        phases = rng.uniform(0.0, 1.0, len(n))
         assert len(n) == 10018
         assert spec.freqs.tobytes() == (f0 * n).tobytes()
         assert spec.amps.tobytes() == (1.0 / n).tobytes()
@@ -219,7 +210,7 @@ class TestFactoredSynthesis:
         lengths = []
 
         def blocks():
-            for block in dg._draw(kind, make_rng(8, 0, 67649), False):
+            for block in dg._draw(kind, make_rng(8, 0, 67649)):
                 lengths.append(len(block[0]))
                 yield block
 
@@ -318,6 +309,17 @@ class TestInharmonic:
             if pos[lo:hi].max() > 0.25 * pos.max():
                 found += 1
         assert found == 5
+
+    @pytest.mark.parametrize("kind", ["inharmonic", "inharmonic-analytic"])
+    def test_draw_order_is_frequencies_then_phases(self, kind):
+        for i in range(3):
+            spec = dg.draw_spec(kind, make_rng(13, 0, i))
+            rng = make_rng(13, 0, i)
+            freqs = rng.uniform(0.0, 0.5, 5)
+            phases = rng.uniform(0.0, 1.0, 5)
+            assert spec.freqs.tobytes() == freqs.tobytes()
+            assert spec.phases.tobytes() == phases.tobytes()
+            assert spec.amps.tobytes() == np.full(5, 0.2).tobytes()
 
 
 def complex_frames(samples):
@@ -557,13 +559,11 @@ class TestBundleIO:
         # them, and synthesize renders every row's bytes. 70 train rows fill
         # more than one batch.
         for kind in dg.DatasetKind:
-            for full_phase_range in (False, True):
-                bundle = dg.generate_bundle(kind, 21, 70, 9, 5, full_phase_range)
-                for name, stream in (("train", 0), ("val", 1), ("test", 2)):
-                    for i, row in enumerate(bundle.partition(name)):
-                        spec = dg.draw_spec(kind, make_rng(21, stream, i), full_phase_range)
-                        got = dg.synthesize(spec).tobytes()
-                        assert got == row.tobytes(), (kind, full_phase_range, name, i)
+            bundle = dg.generate_bundle(kind, 21, 70, 9, 5)
+            for name, stream in (("train", 0), ("val", 1), ("test", 2)):
+                for i, row in enumerate(bundle.partition(name)):
+                    got = dg.synthesize(dg.draw_spec(kind, make_rng(21, stream, i))).tobytes()
+                    assert got == row.tobytes(), (kind, name, i)
 
     def test_long_observation_regenerable(self):
         # Train row 130 of seed 7 has 10,018 harmonics in three blocks. The

@@ -29,18 +29,19 @@ def _run_protocol(*args):
                           env=_env(), capture_output=True, text=True, timeout=300)
 
 
-TINY = ["--train", 20, "--val", 10, "--test", 10, "--hidden", 4, "--epochs", 2, "--trials", 2,
+TINY = ["--train", 20, "--val", 10, "--test", 10, "--epochs", 2, "--trials", 2,
         "--batch-size", 10]
 
 
-@pytest.mark.parametrize("protocol, kinds", [
-    ("desk", ["sawtooth"]),
-    ("full", ["sawtooth", "inharmonic-analytic"]),
-], ids=["desk", "full"])
-def test_protocol_output_layout(tmp_path, protocol, kinds):
+@pytest.mark.parametrize("protocol, kinds, hidden, filter_rows", [
+    ("desk", ["sawtooth"], 4, {"0", "1", "2"}),
+    ("full", ["sawtooth", "inharmonic-analytic"], 4, {"0", "1", "2"}),
+    ("desk", ["sawtooth"], 2, {"0", "1"}),  # fewer hidden units than the three filters
+], ids=["desk", "full", "hidden-2"])
+def test_protocol_output_layout(tmp_path, protocol, kinds, hidden, filter_rows):
     out = tmp_path / protocol
     extra = ["--kinds", *kinds] if protocol == "full" else []
-    proc = _run_protocol("--protocol", protocol, "--out", out, *TINY, *extra)
+    proc = _run_protocol("--protocol", protocol, "--out", out, *TINY, "--hidden", hidden, *extra)
     assert proc.returncode == 0, proc.stderr
     search = ["best_model.cvnn", "search.csv", "trial_000.csv", "trial_001.csv"]
     assert sorted(p.name for p in out.iterdir()) == sorted(kinds)
@@ -53,7 +54,7 @@ def test_protocol_output_layout(tmp_path, protocol, kinds):
             rows = (out / kind / field / "search.csv").read_text().strip().splitlines()
             assert len(rows) == 3
             filters = (out / kind / f"filters_{field}.csv").read_text().strip().splitlines()
-            assert {row.split(",")[0] for row in filters[1:]} == {"0", "1", "2"}
+            assert {row.split(",")[0] for row in filters[1:]} == filter_rows
             assert f"[{kind}/{field}] search took" in proc.stdout
     assert proc.stdout.count("baseline=") == proc.stdout.count("test_mse=") == 2 * len(kinds)
 
