@@ -21,18 +21,21 @@ src/cvnet/*.py` prints), each side's environment block and whether both
 sides ran the same source (`same_source`, from the env blocks'
 `src_sha256`; a warning is printed when they did, as when --parent is
 HEAD and the working tree is clean). With --trace, each side also makes
-one traced run per workload (`perfbench/run.py --trace 1 --seed 1`), and
-the workload's `per_layer` entry holds each per-layer metric of
-BENCHMARK.json for both sides with its relative change; without it
-`per_layer` is null. With --claim WORKLOAD/METRIC, `claim` holds the
-gain rule every performance claim is judged by: the change's wins, the
-pairs run, both medians, the parent's IQR and `met`, which is true when at
-least ten pairs ran, the change wins at least nine tenths of them (ties
-count for neither) and its median is better than the parent's by more
-than the parent's IQR; fewer pairs never meet a claim, whatever they
-show. Without --claim, `claim` is null. Exit code 0 means
-every run passed its checks and no metric was flagged; an unresolved
-metric does not change it.
+three traced runs per workload (`perfbench/run.py --trace 1`), at seeds
+1-3 in alternating order like the pairs, and the workload's `per_layer`
+entry holds each per-layer metric of BENCHMARK.json with each side's
+values, median, min and max, the relative change of the medians, and
+whether it is unresolved: the two sides' ranges overlap, since one traced
+run's reading moved by up to half on unchanged code (BENCH_17.json).
+Without --trace, `per_layer` is null. With --claim WORKLOAD/METRIC,
+`claim` holds the gain rule every performance claim is judged by: the
+change's wins, the pairs run, both medians, the parent's IQR and `met`,
+which is true when at least ten pairs ran, the change wins at least nine
+tenths of them (ties count for neither) and its median is better than
+the parent's by more than the parent's IQR; fewer pairs never meet a
+claim, whatever they show. Without --claim, `claim` is null. Exit code 0
+means every run passed its checks (traced runs included) and no metric
+was flagged; an unresolved metric does not change it.
 """
 
 from __future__ import annotations
@@ -49,6 +52,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+TRACE_SEEDS = (1, 2, 3)
 
 
 def git(*args: str) -> bytes:
@@ -93,6 +97,19 @@ def run_once(root: Path, workload: str, seed: int, seconds: float, quick: bool,
         "env": env,
         "stderr_tail": "" if ok else proc.stderr[-500:],
     }
+
+
+def run_alternating(roots: dict, workload: str, seeds, seconds: float, quick: bool,
+                    trace: int = 0) -> dict:
+    """{side: runs}, one run per side and seed; the side that runs first alternates."""
+    runs = {side: [] for side in SIDES}
+    for k, seed in enumerate(seeds):
+        for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
+            run = run_once(roots[side], workload, seed, seconds, quick, trace)
+            runs[side].append(run)
+            print(f"{workload} {'traced ' if trace else ''}seed {seed} {side}: "
+                  f"{'ok' if run['ok'] else 'FAILED'}", file=sys.stderr, flush=True)
+    return runs
 
 
 def spread(values: list[float]) -> dict:
@@ -147,13 +164,26 @@ def claim(metric: dict, pairs: int) -> dict:
 
 
 def per_layer(spec: dict, traced: dict) -> dict:
-    """Both sides' values of every per-layer metric, from one traced run each."""
-    out = {"ok": {side: traced[side]["ok"] for side in SIDES}, "seed": traced["parent"]["seed"],
+    """Both sides' values of every per-layer metric over their traced runs.
+
+    A metric is unresolved when the sides' [min, max] ranges overlap, or a
+    side has no value.
+    """
+    out = {"seeds": [r["seed"] for r in traced["parent"]],
+           "failed_runs": {side: sum(not r["ok"] for r in traced[side]) for side in SIDES},
            "metrics": {}}
     for m in spec["per_layer"]:
-        vals = {side: traced[side]["metrics"].get(m["name"]) for side in SIDES}
-        out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"], **vals,
-                                     "rel_change": relative(vals["parent"], vals["change"])}
+        vals = {side: [r["metrics"][m["name"]] for r in traced[side]
+                       if r["metrics"].get(m["name"]) is not None] for side in SIDES}
+        summary = {side: {"values": v, "median": statistics.median(v) if v else None,
+                          "min": min(v, default=None), "max": max(v, default=None)}
+                   for side, v in vals.items()}
+        p, c = summary["parent"], summary["change"]
+        overlap = not (vals["parent"] and vals["change"]) or (
+            p["min"] <= c["max"] and c["min"] <= p["max"])
+        out["metrics"][m["name"]] = {"unit": m["unit"], "better": m["better"], **summary,
+                                     "rel_change": relative(p["median"], c["median"]),
+                                     "unresolved": overlap}
     return out
 
 
@@ -166,7 +196,7 @@ def main(argv=None) -> int:
     ap.add_argument("--seconds", type=float, help="default: BENCHMARK.json's run_seconds")
     ap.add_argument("--quick", action="store_true", help="tiny shapes; checks the plumbing only")
     ap.add_argument("--trace", action="store_true",
-                    help="add one traced run per side and workload for per-layer metrics")
+                    help="add three traced runs per side and workload for per-layer metrics")
     ap.add_argument("--claim", metavar="WORKLOAD/METRIC",
                     help="judge a claimed gain on this end-to-end metric by the 9-of-10 rule")
     args = ap.parse_args(argv)
@@ -202,26 +232,15 @@ def main(argv=None) -> int:
         report["parent"]["src_lines"] = src_lines(parent_root)
         roots = {"parent": parent_root, "change": ROOT}
         for workload in workloads:
-            runs = {side: [] for side in SIDES}
-            for k, seed in enumerate(seeds):
-                for side in (SIDES if k % 2 == 0 else SIDES[::-1]):
-                    run = run_once(roots[side], workload, seed, seconds, args.quick)
-                    runs[side].append(run)
-                    print(f"{workload} seed {seed} {side}: {'ok' if run['ok'] else 'FAILED'}",
-                          file=sys.stderr, flush=True)
+            runs = run_alternating(roots, workload, seeds, seconds, args.quick)
             env = {side: next((r["env"] for r in runs[side] if r["env"]), None) for side in SIDES}
             same = None if None in env.values() else (
                 env["parent"]["src_sha256"] == env["change"]["src_sha256"])
             if same:
                 print(f"warning: {workload}: parent and change ran the same source",
                       file=sys.stderr)
-            traced = None
-            if args.trace:
-                traced = {side: run_once(roots[side], workload, 1, seconds, args.quick, trace=1)
-                          for side in SIDES}
-                for side, run in traced.items():
-                    print(f"{workload} traced {side}: {'ok' if run['ok'] else 'FAILED'}",
-                          file=sys.stderr, flush=True)
+            traced = (run_alternating(roots, workload, TRACE_SEEDS, seconds, args.quick, trace=1)
+                      if args.trace else None)
             report["workloads"][workload] = {
                 "seeds": list(seeds), "env": env, "same_source": same,
                 "per_layer": None if traced is None else per_layer(spec, traced),
@@ -239,8 +258,8 @@ def main(argv=None) -> int:
                            **claim(report["workloads"][workload]["metrics"][metric], args.pairs)}
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     failed = sum(n for entry in report["workloads"].values() for n in entry["failed_runs"].values())
-    failed += sum(not ok for entry in report["workloads"].values() if entry["per_layer"]
-                  for ok in entry["per_layer"]["ok"].values())
+    failed += sum(n for entry in report["workloads"].values() if entry["per_layer"]
+                  for n in entry["per_layer"]["failed_runs"].values())
     print(f"wrote {args.out}: {failed} failed run(s), flagged {report['flagged'] or 'nothing'}, "
           f"unresolved {report['unresolved'] or 'nothing'}"
           + ("" if report["claim"] is None else f", claim met: {report['claim']['met']}"),

@@ -19,9 +19,10 @@ import time
 from pathlib import Path
 
 from cvnet import cli, datagen
+from cvnet.complex_ops import Field
 
 KINDS = [k.value for k in datagen.DatasetKind]
-FIELDS = ["complex", "real"]
+FIELDS = [f.value for f in Field]
 PROTOCOLS = {
     "desk": dict(seed=42, kinds=["sawtooth"], train=500, val=200, test=200, hidden=32,
                  epochs=200, batch_size=250, trials=10),

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import datagen, gradcheck, nn, spectral, trainer
-from .complex_ops import FormatError
+from .complex_ops import Field, FormatError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -53,7 +53,7 @@ def _add_seed(p: argparse.ArgumentParser) -> None:
 def _add_training(p: argparse.ArgumentParser) -> None:
     """The flags that train and search share."""
     p.add_argument("--data", required=True)
-    p.add_argument("--field", required=True, choices=["complex", "real"])
+    p.add_argument("--field", required=True, choices=[f.value for f in Field])
     p.add_argument("--hidden", type=POSITIVE, default=256)
     p.add_argument("--epochs", type=POSITIVE, default=1000)
     p.add_argument("--batch-size", type=POSITIVE, default=1000)
@@ -87,9 +87,7 @@ def cmd_train(args) -> int:
         batch_size=args.batch_size,
     )
     d_in, d_out = datagen.model_dims(data.kind, args.field)
-    model = nn.init_model(
-        d_in, args.hidden, d_out, field=args.field, init_scale=args.init_scale, seed=args.seed
-    )
+    model = nn.init_model(d_in, args.hidden, d_out, args.field, args.init_scale, args.seed)
     result = trainer.train(model, data, config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -181,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("eval", help="mean squared error of a checkpoint on a partition")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--partition", required=True, choices=["train", "val", "test"])
+    p.add_argument("--partition", required=True, choices=datagen.PARTITIONS)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("filters", help="export filter magnitude responses as CSV")

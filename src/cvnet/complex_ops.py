@@ -3,7 +3,7 @@
 Complex-field parameters and the samples of analytic dataset kinds hold
 numpy complex128 arrays. Real-field models and the samples of real-valued
 kinds, and so their model-facing frames in both fields, hold float64
-(autodiff.promote(); as_real() is the one narrowing from complex to
+(autodiff.promote(); Field.cast is the one narrowing from complex to
 float64). Files store (re, im) pairs for both dtypes.
 numpy already does the arithmetic well, so this module only pins down
 the conventions the rest of the package relies on:
@@ -27,6 +27,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass
+from enum import Enum
 from typing import Callable, Container, Iterable, Sequence
 
 import numpy as np
@@ -149,11 +150,25 @@ class BlockFormat:
             raise FormatError(f"non-finite value in {self.what} {name} at byte {offset + 16 * i}")
 
 
-def as_real(arr, message: str) -> np.ndarray:
-    """C-contiguous float64 arr, or ValueError(message) if an imaginary part is not 0."""
-    if np.iscomplexobj(arr) and np.any(np.imag(arr) != 0):
-        raise ValueError(message)
-    return np.ascontiguousarray(np.real(arr), dtype=np.float64)
+class Field(str, Enum):
+    """A model's or a kind's samples' field: its valid values, dtype, real DOF and narrowing."""
+
+    COMPLEX = "complex"
+    REAL = "real"
+
+    @property
+    def dtype(self) -> type:
+        return COMPLEX if self is Field.COMPLEX else np.float64
+
+    @property
+    def dof(self) -> int:  # real degrees of freedom per stored element
+        return 2 if self is Field.COMPLEX else 1
+
+    def cast(self, arr, message: str) -> np.ndarray:
+        """C-contiguous arr in self.dtype; REAL raises ValueError(message) on nonzero imag parts."""
+        if self is Field.REAL and np.iscomplexobj(arr) and np.any(np.imag(arr) != 0):
+            raise ValueError(message)
+        return np.ascontiguousarray(np.real(arr) if self is Field.REAL else arr, dtype=self.dtype)
 
 
 def ensure_finite(arr: np.ndarray, name: str = "array") -> np.ndarray:

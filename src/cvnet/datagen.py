@@ -47,7 +47,7 @@ from enum import Enum
 
 import numpy as np
 
-from .complex_ops import COMPLEX, BlockFormat, FormatError, as_real, ensure_finite, make_rng
+from .complex_ops import COMPLEX, BlockFormat, Field, FormatError, ensure_finite, make_rng
 
 N_SAMPLES = 1024
 FRAME_LEN = 256
@@ -55,6 +55,7 @@ N_FRAMES = 4
 NYQUIST = 0.5
 
 _PARTITION_STREAMS = {"train": 0, "val": 1, "test": 2}
+PARTITIONS = tuple(_PARTITION_STREAMS)
 
 
 class DatasetKind(str, Enum):
@@ -66,6 +67,10 @@ class DatasetKind(str, Enum):
     @property
     def analytic(self) -> bool:
         return self in (DatasetKind.SAWTOOTH_ANALYTIC, DatasetKind.INHARMONIC_ANALYTIC)
+
+    @property
+    def field(self) -> Field:
+        return Field.COMPLEX if self.analytic else Field.REAL
 
 
 _KIND_TAGS = {
@@ -88,7 +93,7 @@ class WaveformSpec:
 
     def __post_init__(self):
         for name in ("freqs", "amps", "phases"):  # contiguous float64 input is not copied
-            value = as_real(getattr(self, name), f"component {name} must be real")
+            value = Field.REAL.cast(getattr(self, name), f"component {name} must be real")
             if value.ndim != 1:
                 raise ValueError(f"component arrays must be 1-D, got {name} of shape {value.shape}")
             object.__setattr__(self, name, value)
@@ -313,11 +318,11 @@ class DatasetBundle:
 
     def __post_init__(self):
         object.__setattr__(self, "kind", DatasetKind(self.kind))
-        for name in _PARTITION_STREAMS:
+        for name in PARTITIONS:
             object.__setattr__(self, name, _observations(getattr(self, name), self.kind))
 
     def partition(self, name: str) -> np.ndarray:
-        if name not in _PARTITION_STREAMS:
+        if name not in PARTITIONS:
             raise ValueError(f"unknown partition {name!r}")
         return getattr(self, name)
 
@@ -354,7 +359,7 @@ def bundles_equal(a: DatasetBundle, b: DatasetBundle) -> bool:
         and a.seed == b.seed
         and all(
             x.shape == y.shape and x.tobytes() == y.tobytes()
-            for x, y in ((a.partition(n), b.partition(n)) for n in _PARTITION_STREAMS)
+            for x, y in ((a.partition(n), b.partition(n)) for n in PARTITIONS)
         )
     )
 
@@ -374,15 +379,15 @@ _FORMAT = BlockFormat("dataset", b"CVDS", "<BBQIII", 1)
 
 
 def write_dataset(bundle: DatasetBundle, path) -> None:
-    parts = [bundle.partition(name) for name in _PARTITION_STREAMS]
+    parts = [bundle.partition(name) for name in PARTITIONS]
     _FORMAT.write(path, (_KIND_TAGS[bundle.kind], bundle.seed, *(len(p) for p in parts)), parts)
 
 
 def _layout(kind_tag, seed, *counts):
     if kind_tag not in _KINDS:
         raise FormatError(f"unknown dataset kind tag {kind_tag} at byte 5")
-    dtype = COMPLEX if _KINDS[kind_tag].analytic else np.float64
-    return [(name, (n, N_SAMPLES), dtype) for name, n in zip(_PARTITION_STREAMS, counts)]
+    dtype = _KINDS[kind_tag].field.dtype
+    return [(name, (n, N_SAMPLES), dtype) for name, n in zip(PARTITIONS, counts)]
 
 
 def read_dataset(path) -> DatasetBundle:
@@ -392,7 +397,7 @@ def read_dataset(path) -> DatasetBundle:
 
 def read_partition(path, name: str) -> tuple[DatasetKind, np.ndarray]:
     """(kind, samples) of one partition, checked as by read_dataset; the rest is not kept."""
-    if name not in _PARTITION_STREAMS:
+    if name not in PARTITIONS:
         raise ValueError(f"unknown partition {name!r}")
     (kind_tag, *_), parts = _FORMAT.read(path, _layout, keep={name})
     return _KINDS[kind_tag], parts[name]
@@ -402,7 +407,7 @@ def read_partition(path, name: str) -> tuple[DatasetKind, np.ndarray]:
 # Model-facing views
 # ---------------------------------------------------------------------------
 
-def model_dims(kind: DatasetKind | str, field: str) -> tuple[int, int]:
+def model_dims(kind: DatasetKind | str, field: Field | str) -> tuple[int, int]:
     """(d_in, d_out) a model needs for this dataset kind and field.
 
     Real models on analytic data see each complex frame split into its
@@ -410,28 +415,22 @@ def model_dims(kind: DatasetKind | str, field: str) -> tuple[int, int]:
     order re x_0, im x_0, re x_1, im x_1, ...; real models on real data see
     the real part only.
     """
-    kind = DatasetKind(kind)
-    if field == "complex":
-        return FRAME_LEN, FRAME_LEN
-    if field == "real":
-        return (2 * FRAME_LEN, 2 * FRAME_LEN) if kind.analytic else (FRAME_LEN, FRAME_LEN)
-    raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
+    kind, field = DatasetKind(kind), Field(field)
+    width = FRAME_LEN * kind.field.dof if field is Field.REAL else FRAME_LEN
+    return width, width
 
 
 def _observations(samples: np.ndarray, kind: DatasetKind | str) -> np.ndarray:
     """Samples as a C-contiguous (n, 1024) matrix of the kind's dtype; one observation may be 1-D.
 
-    The one dtype rule: analytic kinds hold complex128, real-valued kinds
-    float64 by complex_ops.as_real, the narrowing rule that real-field
-    models share: complex input must have an exactly zero imaginary part.
+    The one dtype rule: the kind's field's, by Field.cast, whose narrowing
+    real-field models share: complex input for a real-valued kind must
+    have an exactly zero imaginary part.
     C-contiguous complex128 and float64 input pass uncopied; contiguous
     rows are what lets complex samples be read as float64 (build_views).
     """
     kind = DatasetKind(kind)
-    if kind.analytic:
-        samples = np.ascontiguousarray(samples, dtype=COMPLEX)
-    else:
-        samples = as_real(samples, f"{kind.value} samples must have a zero imaginary part")
+    samples = kind.field.cast(samples, f"{kind.value} samples must have a zero imaginary part")
     if samples.ndim == 1:
         samples = samples[None, :]
     if samples.shape[1] != N_SAMPLES:
@@ -440,7 +439,7 @@ def _observations(samples: np.ndarray, kind: DatasetKind | str) -> np.ndarray:
 
 
 def build_views(
-    samples: np.ndarray, kind: DatasetKind | str, field: str
+    samples: np.ndarray, kind: DatasetKind | str, field: Field | str
 ) -> tuple[list[np.ndarray], np.ndarray]:
     """Batch input/target matrices, one observation per column.
 

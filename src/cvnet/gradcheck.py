@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import nn
-from .complex_ops import make_rng, sample_circular_gaussian
+from .complex_ops import Field, make_rng, sample_circular_gaussian
 
 N_PROBES = 10
 RTOL = 1e-5
@@ -82,7 +82,7 @@ def _tensor_grads_vs_oracle(draw, rng, k) -> float:
 def _draw_mse(rng, _k):
     pred = sample_circular_gaussian(rng, 4, 1.0)
     target = sample_circular_gaussian(rng, 4, 1.0)
-    return {"pred": pred}, lambda pv: nn.mse_loss(pv["pred"], target, "complex")
+    return {"pred": pred}, lambda pv: nn.mse_loss(pv["pred"], target, Field.COMPLEX)
 
 
 def _draw_dense(rng, k):
@@ -96,7 +96,7 @@ def _draw_dense(rng, k):
     target = sample_circular_gaussian(rng, (3, 2), 1.0)
 
     def build(pv):
-        return nn.mse_loss(nn.apply_activation(pv["w"] @ x + pv["b"], act), target, "complex")
+        return nn.mse_loss(nn.apply_activation(pv["w"] @ x + pv["b"], act), target, Field.COMPLEX)
 
     return params, build
 
@@ -104,10 +104,10 @@ def _draw_dense(rng, k):
 _TINY_SHAPES = nn.param_shapes(4, 3, 4)  # frame width 4, hidden 3
 
 
-def _tiny_model(rng, field: str, activation: nn.ActivationKind) -> nn.RecurrentModel:
+def _tiny_model(rng, field: Field, activation: nn.ActivationKind) -> nn.RecurrentModel:
     params = {name: 0.4 * sample_circular_gaussian(rng, shape, 1.0)
               for name, shape in _TINY_SHAPES.items()}
-    if field == "real":
+    if field is Field.REAL:
         params = {name: w.real for name, w in params.items()}
     return nn.RecurrentModel(field=field, activation=activation, **params)
 
@@ -116,10 +116,10 @@ def _tiny_model(rng, field: str, activation: nn.ActivationKind) -> nn.RecurrentM
 # build_views feeds a complex model float64 frames and target on
 # real-valued kinds.
 _RECURRENT_VARIANTS = {
-    "complex": ("complex", nn.ActivationKind.COMPLEX_TANH, False, 303),
-    "real": ("real", nn.ActivationKind.REAL_TANH, True, 304),
-    "complex-real-data": ("complex", nn.ActivationKind.COMPLEX_TANH, True, 305),
-    "split-magnitude": ("complex", nn.ActivationKind.SPLIT_MAGNITUDE, False, 306),
+    "complex": (Field.COMPLEX, nn.ActivationKind.COMPLEX_TANH, False, 303),
+    "real": (Field.REAL, nn.ActivationKind.REAL_TANH, True, 304),
+    "complex-real-data": (Field.COMPLEX, nn.ActivationKind.COMPLEX_TANH, True, 305),
+    "split-magnitude": (Field.COMPLEX, nn.ActivationKind.SPLIT_MAGNITUDE, False, 306),
 }
 
 

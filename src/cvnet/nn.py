@@ -26,7 +26,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .complex_ops import COMPLEX, BlockFormat, FormatError, as_real, make_rng, sample_circular_gaussian
+from .complex_ops import COMPLEX, BlockFormat, Field, FormatError, make_rng, sample_circular_gaussian
 from .datagen import FRAME_LEN
 
 # ---------------------------------------------------------------------------
@@ -142,16 +142,7 @@ def apply_activation(x: ad.Var, kind: ActivationKind) -> ad.Var:
 # Loss
 # ---------------------------------------------------------------------------
 
-def dof_multiplier(field: str) -> int:
-    """Real degrees of freedom per stored element: 2 if complex, else 1."""
-    if field == "complex":
-        return 2
-    if field == "real":
-        return 1
-    raise ValueError(f"field must be 'complex' or 'real', got {field!r}")
-
-
-def mse_loss(pred: ad.Var, target: np.ndarray, field: str) -> ad.Var:
+def mse_loss(pred: ad.Var, target: np.ndarray, field: Field | str) -> ad.Var:
     """Mean squared error per real degree of freedom of the model's field.
 
     Normalizing by real DOF (a complex element counts twice) makes errors
@@ -160,7 +151,7 @@ def mse_loss(pred: ad.Var, target: np.ndarray, field: str) -> ad.Var:
     real models at complex points.
     """
     t = ad.promote(target)
-    return ad.mse(pred, t, dof_multiplier(field) * t.size)
+    return ad.mse(pred, t, Field(field).dof * t.size)
 
 
 # ---------------------------------------------------------------------------
@@ -176,7 +167,7 @@ def param_shapes(d_in: int, hidden: int, d_out: int) -> dict[str, tuple[int, int
             "b_rec": (hidden, 1), "w_out": (d_out, hidden), "b_out": (d_out, 1)}
 
 
-_FIELD_TAGS = {"complex": 0, "real": 1}
+_FIELD_TAGS = {Field.COMPLEX: 0, Field.REAL: 1}
 _ACTIVATION_TAGS = {
     ActivationKind.COMPLEX_TANH: 0,
     ActivationKind.SPLIT_MAGNITUDE: 1,
@@ -194,12 +185,12 @@ class RecurrentModel:
     Biases are stored as column vectors so they broadcast over a batch of
     column observations. b_in and b_rec are mathematically redundant but
     both kept; the three-bias layout is what the parameter totals assume.
-    Every parameter is held in its field's dtype: complex128 (float64 weights
-    widen exactly) or float64 by complex_ops.as_real, the narrowing rule that
+    Every parameter is held in its field's dtype by Field.cast: complex128
+    (float64 weights widen exactly) or float64 by the narrowing rule that
     real-valued dataset kinds share (datagen._observations).
     """
 
-    field: str
+    field: Field
     activation: ActivationKind
     w_in: np.ndarray
     b_in: np.ndarray
@@ -209,17 +200,16 @@ class RecurrentModel:
     b_out: np.ndarray
 
     def __post_init__(self):
-        if self.field not in _FIELD_TAGS:
-            raise ValueError(f"field must be 'complex' or 'real', got {self.field!r}")
-        self.activation = ActivationKind(self.activation)  # its value string, as a flag gives it
-        if self.field == "real":
+        self.field = Field(self.field)  # each may be its value string, as a flag gives it
+        self.activation = ActivationKind(self.activation)
+        if self.field is Field.REAL:
             if self.activation is not ActivationKind.REAL_TANH:
                 raise ValueError("real-field models use the real-tanh activation")
         elif self.activation is ActivationKind.REAL_TANH:
             raise ValueError("complex-field models do not use the real-tanh activation")
         for name, arr in self.params().items():
-            setattr(self, name, np.asarray(arr, COMPLEX) if self.field == "complex" else
-                    as_real(arr, f"real-field model has nonzero imaginary part in {name}"))
+            setattr(self, name, self.field.cast(
+                arr, f"real-field model has nonzero imaginary part in {name}"))
         h, d_in = self.w_in.shape
         expected = param_shapes(d_in, h, self.w_out.shape[0])
         for name, arr in self.params().items():
@@ -256,7 +246,7 @@ def init_model(
     d_in: int,
     hidden: int,
     d_out: int,
-    field: str = "complex",
+    field: Field | str = Field.COMPLEX,
     init_scale: float = 1.0,
     seed: int = 0,
     activation: ActivationKind | None = None,
@@ -266,16 +256,16 @@ def init_model(
     Real-field models draw float64 weights with the whole variance, so
     E|w|^2 matches the complex case. Biases start at zero.
     """
+    field = Field(field)
     if activation is None:
-        activation = ActivationKind.COMPLEX_TANH if field == "complex" else ActivationKind.REAL_TANH
+        activation = ActivationKind.COMPLEX_TANH if field is Field.COMPLEX else ActivationKind.REAL_TANH
     rng = make_rng(seed, 11)
-    dtype = COMPLEX if field == "complex" else np.float64
 
     def draw(name, shape):
         if name.startswith("b_"):
-            return np.zeros(shape, dtype=dtype)
+            return np.zeros(shape, dtype=field.dtype)
         sigma = init_scale / np.sqrt(shape[1])  # fan_in
-        if field == "complex":
+        if field is Field.COMPLEX:
             return sample_circular_gaussian(rng, shape, sigma)
         return rng.normal(0.0, sigma, shape)
 
@@ -351,10 +341,10 @@ STACKED = np.arange(2 * FRAME_LEN).reshape(FRAME_LEN, 2).T.ravel()
 INTERLEAVED = np.argsort(STACKED)
 
 
-def _relayout(field: str, params: Mapping[str, np.ndarray], order: np.ndarray) -> dict:
+def _relayout(field: Field, params: Mapping[str, np.ndarray], order: np.ndarray) -> dict:
     """params with each 512-wide frame axis of a real model permuted by order."""
     out = dict(params)
-    if field == "real":
+    if field is Field.REAL:
         for name, axis in _FRAME_AXES.items():
             if out[name].shape[axis] == 2 * FRAME_LEN:
                 out[name] = np.take(out[name], order, axis=axis)
@@ -376,7 +366,7 @@ def load_model(path) -> RecurrentModel:
             raise FormatError(f"unknown field tag {field_tag} at byte 5")
         if act_tag not in acts:
             raise FormatError(f"unknown activation tag {act_tag} at byte 18")
-        dtype = np.float64 if fields[field_tag] == "real" else COMPLEX
+        dtype = fields[field_tag].dtype
         return [(name, shape, dtype) for name, shape in param_shapes(d_in, hidden, d_out).items()]
 
     (field_tag, *_, act_tag), arrays = _FORMAT.read(path, layout)

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import datagen, nn
-from .complex_ops import make_rng
+from .complex_ops import Field, make_rng
 
 FLOAT_FMT = ".16e"  # 17 significant digits, stable across platforms
 
@@ -131,11 +131,11 @@ def _check_dims(model: nn.RecurrentModel, kind: datagen.DatasetKind) -> None:
     if model.d_in != d_in or model.d_out != d_out:
         raise ConfigError(
             f"model dims ({model.d_in}, {model.d_out}) do not match "
-            f"{datagen.DatasetKind(kind).value}/{model.field} data dims ({d_in}, {d_out})"
+            f"{datagen.DatasetKind(kind).value}/{model.field.value} data dims ({d_in}, {d_out})"
         )
 
 
-def _views(samples: np.ndarray, kind: datagen.DatasetKind, field: str, what: str):
+def _views(samples: np.ndarray, kind: datagen.DatasetKind, field: Field | str, what: str):
     """datagen.build_views of a partition, which must hold observations."""
     if len(samples) == 0:
         raise ConfigError(f"{what} has no observations")
@@ -154,7 +154,7 @@ def evaluate(model: nn.RecurrentModel, samples: np.ndarray, kind: datagen.Datase
     return float(loss.value.real)
 
 
-def zero_baseline_mse(samples: np.ndarray, kind: datagen.DatasetKind, field: str) -> float:
+def zero_baseline_mse(samples: np.ndarray, kind: datagen.DatasetKind, field: Field | str) -> float:
     """Error of the all-zero predictor, the floor any model must beat.
 
     The target comes from build_views, as in training and evaluation, so
@@ -186,7 +186,7 @@ def train(
     # over its real DOF). Gradients therefore scale with batch size and the
     # learning rate is calibrated for full-scale 1000-observation
     # batches. Reported MSEs are per-observation means.
-    per_obs_dof = nn.dof_multiplier(model.field) * train_target.shape[0]
+    per_obs_dof = model.field.dof * train_target.shape[0]
 
     velocity = {name: np.zeros_like(arr) for name, arr in model.params().items()}
     history: list[EpochRecord] = []
@@ -294,9 +294,7 @@ def _run_trial(args) -> TrialResult:
     trial_seed = int(rng.integers(0, 2**63))
     config = sample_config(space, rng, epochs, batch_size)
     d_in, d_out = datagen.model_dims(data.kind, fld)
-    model = nn.init_model(
-        d_in, hidden, d_out, field=fld, init_scale=config.init_scale, seed=trial_seed
-    )
+    model = nn.init_model(d_in, hidden, d_out, fld, config.init_scale, trial_seed)
     result = train(model, data, config)
     result.trial_id = trial_id
     return result
@@ -326,7 +324,7 @@ def _keep_one_model(trials: Iterable[TrialResult]) -> list[TrialResult]:
 
 def random_search(
     data: datagen.DatasetBundle,
-    field: str,
+    field: Field | str,
     hidden: int,
     n_trials: int,
     seed: int,
@@ -351,7 +349,7 @@ def random_search(
     if n_trials < 1:
         raise ConfigError(f"n_trials must be >= 1, got {n_trials}")
     space = space or SearchSpace()
-    work = [(field, hidden, space, seed, epochs, batch_size, t) for t in range(n_trials)]
+    work = [(Field(field), hidden, space, seed, epochs, batch_size, t) for t in range(n_trials)]
     workers = min(jobs, n_trials)
     try:
         if workers > 1:

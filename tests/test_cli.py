@@ -13,6 +13,7 @@ import pytest
 
 import cvnet
 from cvnet import cli, datagen, gradcheck, nn, trainer
+from cvnet.complex_ops import Field
 
 
 def run(argv):
@@ -358,3 +359,16 @@ class TestReadme:
         flags = {flag for p in self.commands().values()
                  for a in p._actions for flag in a.option_strings}
         assert documented and documented - flags == set()
+
+
+@pytest.mark.parametrize("argv, choices", [
+    (["eval", "--model", "m.cvnn", "--data", "d.cvds", "--partition", "all"], datagen.PARTITIONS),
+    (["search", "--data", "d.cvds", "--out", "o", "--field", "quaternion"],
+     [f.value for f in Field]),
+], ids=["partition", "field"])
+def test_choices_come_from_the_package(argv, choices, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(argv)
+    err = capsys.readouterr().err
+    assert exc.value.code == 2 and "invalid choice" in err
+    assert all(repr(choice) in err for choice in choices), err

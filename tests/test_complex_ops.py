@@ -134,6 +134,29 @@ class TestFiniteness:
             co.ensure_finite(np.array([np.inf + 0j]))
 
 
+class TestField:
+    def test_dtype_and_dof(self):
+        assert (co.Field.COMPLEX.dtype, co.Field.COMPLEX.dof) == (np.complex128, 2)
+        assert (co.Field.REAL.dtype, co.Field.REAL.dof) == (np.float64, 1)
+        assert co.Field("real") is co.Field.REAL and co.Field.REAL == "real"
+
+    def test_cast_gives_contiguous_arrays_of_the_fields_dtype(self):
+        z = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.complex128).T  # not C-contiguous
+        real, cplx = co.Field.REAL.cast(z, "unused"), co.Field.COMPLEX.cast(z + 1j, "unused")
+        assert real.dtype == np.float64 and real.flags.c_contiguous
+        np.testing.assert_array_equal(real, z.real)
+        assert cplx.dtype == np.complex128 and cplx.flags.c_contiguous
+        np.testing.assert_array_equal(cplx, z + 1j)
+
+    def test_cast_passes_contiguous_input_uncopied(self):
+        for field, arr in ((co.Field.REAL, np.ones(3)), (co.Field.COMPLEX, np.ones(3, complex))):
+            assert field.cast(arr, "unused") is arr
+
+    def test_real_cast_refuses_an_imaginary_part(self):
+        with pytest.raises(ValueError, match="^weights are complex$"):
+            co.Field.REAL.cast(np.array([1.0, 1e-300j]), "weights are complex")
+
+
 class TestBlockFormat:
     FMT = co.BlockFormat("thing", b"THNG", "<BB", 7)  # version, then a tag
 

@@ -9,7 +9,7 @@ import pytest
 
 from cvnet import datagen as dg
 from cvnet import nn, trainer
-from cvnet.complex_ops import FormatError, make_rng
+from cvnet.complex_ops import Field, FormatError, make_rng
 from cvnet.spectral import dft, negative_bins
 
 
@@ -392,6 +392,13 @@ def test_kind_given_as_its_string(entry):
     assert call(kind.value, x) == call(kind, x)
     with pytest.raises(ValueError, match="bogus"):
         call("bogus", x)
+
+
+@pytest.mark.parametrize("kind", list(dg.DatasetKind))
+def test_kind_field_gives_the_samples_dtype(kind):
+    assert kind.field is (Field.COMPLEX if kind.analytic else Field.REAL)
+    bundle = dg.generate_bundle(kind, 2, 1, 1, 1)
+    assert all(bundle.partition(name).dtype == kind.field.dtype for name in dg.PARTITIONS)
 
 
 class TestBundleIO:

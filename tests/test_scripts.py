@@ -212,9 +212,29 @@ def test_bench_ab_claim_rule(better, parent, change, met):
     assert verdict["met"] is met and verdict["pairs"] == len(parent)
 
 
+@pytest.mark.parametrize("parent, change, unresolved", [
+    ([10, 11, 12], [13, 14, 15], False),
+    ([10, 11, 12], [7, 8, 9.5], False),
+    ([10, 11, 12], [12, 13, 14], True),
+    ([10, 11, 14], [12, 12.5, 13], True),
+    ([10, 11, 12], [], True),
+], ids=["change-above", "change-below", "ranges-touch", "range-inside", "change-missing"])
+def test_bench_ab_per_layer_unresolved_when_ranges_overlap(parent, change, unresolved):
+    per_layer = runpy.run_path(str(ROOT / "scripts" / "bench_ab.py"))["per_layer"]
+    spec = {"per_layer": [{"name": "nn.val_ms", "unit": "ms", "better": "lower"}]}
+    traced = {side: [{"seed": seed, "ok": True, "metrics": {"nn.val_ms": v}}
+                     for seed, v in zip((1, 2, 3), values)]
+              for side, values in (("parent", parent), ("change", change))}
+    entry = per_layer(spec, traced)["metrics"]["nn.val_ms"]
+    assert entry["unresolved"] is unresolved
+    assert entry["parent"] == {"values": parent, "median": 11, "min": 10, "max": max(parent)}
+    if change:
+        assert entry["rel_change"] == pytest.approx((sorted(change)[1] - 11) / 11)
+
+
 def test_bench_ab_report_schema(tmp_path):
-    # One quick pair and one traced run per side on one workload; only the
-    # report's shape is checked.
+    # One quick pair and three traced runs per side on one workload; only
+    # the report's shape is checked.
     if subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, capture_output=True).returncode:
         pytest.skip("needs a git checkout to export the parent from")
     out = tmp_path / "bench.json"
@@ -249,12 +269,18 @@ def test_bench_ab_report_schema(tmp_path):
         assert m["unresolved"] is False
         for side in ("parent", "change"):
             assert set(m[side]) == {"values", "median", "iqr"} and len(m[side]["values"]) == 1
-    assert entry["per_layer"]["ok"] == {"parent": True, "change": True}, proc.stderr
+    assert entry["per_layer"]["seeds"] == [1, 2, 3]
+    assert entry["per_layer"]["failed_runs"] == {"parent": 0, "change": 0}, proc.stderr
     layer = entry["per_layer"]["metrics"]
     assert set(layer) == {m["name"] for m in spec["per_layer"]}
     for m in layer.values():
-        assert set(m) == {"unit", "better", "parent", "change", "rel_change"}
-        assert all(isinstance(m[side], (int, float)) for side in ("parent", "change"))
+        assert set(m) == {"unit", "better", "parent", "change", "rel_change", "unresolved"}
+        assert isinstance(m["unresolved"], bool)
+        for side in ("parent", "change"):
+            assert set(m[side]) == {"values", "median", "min", "max"}
+            assert len(m[side]["values"]) == 3
+            assert all(isinstance(v, (int, float)) for v in m[side]["values"])
+            assert m[side]["min"] <= m[side]["median"] <= m[side]["max"]
     assert isinstance(report["flagged"], list)
     assert report["unresolved"] == []
     setup = entry["metrics"]["setup_s"]

@@ -11,7 +11,7 @@ import pytest
 from cvnet import autodiff as ad
 from cvnet import datagen as dg
 from cvnet import nn, trainer
-from cvnet.complex_ops import COMPLEX, make_rng
+from cvnet.complex_ops import COMPLEX, Field, make_rng, sample_circular_gaussian
 
 
 @pytest.fixture(scope="module")
@@ -286,7 +286,7 @@ class TestEvaluate:
         data = dg.generate_bundle(kind, 36, 2, 7, 2)
         _, target = dg.build_views(data.val, kind, field)
         want = float(np.sum(target.real**2 + target.imag**2)
-                     / (nn.dof_multiplier(field) * target.size))
+                     / (Field(field).dof * target.size))
         assert trainer.zero_baseline_mse(data.val, kind, field) == want
 
     def test_zero_baseline_matches_direct_formula(self, small_data):
@@ -544,3 +544,78 @@ class TestWriteSearchOutputs:
         trainer.write_search_outputs([self.diverged(i, model) for i in range(3)], tmp_path)
         assert trainer.write_search_outputs([self.diverged(0, None)], tmp_path) is None
         assert sorted(p.name for p in tmp_path.iterdir()) == ["search.csv", "trial_000.csv"]
+
+
+_ANALYTIC = dg.DatasetKind.INHARMONIC_ANALYTIC  # a real model splits its frames: 512 wide
+
+
+def _checkpoint_bytes(field, tmp):
+    tmp.mkdir()
+    nn.save_model(nn.init_model(512, 2, 512, field, 0.5, seed=2), tmp / "m.cvnn")
+    return (tmp / "m.cvnn").read_bytes()
+
+
+def _model(field, tmp):
+    act = {"real": nn.ActivationKind.REAL_TANH}.get(field, nn.ActivationKind.COMPLEX_TANH)
+    params = {name: np.ones(shape) for name, shape in nn.param_shapes(4, 3, 4).items()}
+    model = nn.RecurrentModel(field, act, **params)
+    return type(model.field), model.field, [arr.tobytes() for arr in model.params().values()]
+
+
+def _mse(field, tmp):
+    pred = sample_circular_gaussian(make_rng(4), (3, 2), 1.0)
+    return nn.mse_loss(pred, sample_circular_gaussian(make_rng(5), (3, 2), 1.0), field).value
+
+
+def _views(field, tmp):
+    samples = dg.generate_bundle(_ANALYTIC, 5, 2, 1, 1).train
+    frames, target = dg.build_views(samples, _ANALYTIC, field)
+    return [v.tobytes() for v in (*frames, target)]
+
+
+def _baseline(field, tmp):
+    data = dg.generate_bundle(_ANALYTIC, 5, 2, 2, 1)
+    return trainer.zero_baseline_mse(data.val, data.kind, field)
+
+
+def _search_bytes(field, tmp):
+    data = dg.generate_bundle(_ANALYTIC, 5, 4, 2, 1)
+    results = trainer.random_search(data, field, hidden=2, n_trials=2, seed=3, epochs=1,
+                                    batch_size=2, jobs=2)
+    trainer.write_search_outputs(results, tmp)
+    return {p.name: p.read_bytes() for p in tmp.iterdir()}
+
+
+# Each public entry point that takes a field, called as f(field, scratch directory).
+_FIELD_ENTRY_POINTS = {
+    "init_model": _checkpoint_bytes,
+    "RecurrentModel": _model,
+    "mse_loss": _mse,
+    "model_dims": lambda field, tmp: dg.model_dims(_ANALYTIC, field),
+    "build_views": _views,
+    "zero_baseline_mse": _baseline,
+    "random_search": _search_bytes,
+}
+
+
+@pytest.mark.parametrize("field", list(Field))
+@pytest.mark.parametrize("entry", _FIELD_ENTRY_POINTS)
+def test_field_given_as_its_string(entry, field, tmp_path):
+    # Field(field) on entry, as DatasetKind(kind) is for a kind.
+    call = _FIELD_ENTRY_POINTS[entry]
+    assert call(field.value, tmp_path / "value") == call(field, tmp_path / "member")
+
+
+def _no_pool(*args, **kwargs):
+    raise AssertionError("random_search started a pool")
+
+
+@pytest.mark.parametrize("entry", _FIELD_ENTRY_POINTS)
+def test_unknown_field_is_refused_on_entry(entry, tmp_path, monkeypatch):
+    # Before init_model draws a weight, and before random_search starts a pool.
+    rngs = []
+    monkeypatch.setattr(nn, "make_rng", lambda *args: rngs.append(args) or make_rng(*args))
+    monkeypatch.setattr(trainer, "ProcessPoolExecutor", _no_pool)
+    with pytest.raises(ValueError, match="bogus"):
+        _FIELD_ENTRY_POINTS[entry]("bogus", tmp_path / "out")
+    assert rngs == []
