@@ -82,7 +82,6 @@ def cmd_train(args) -> int:
         lr0=args.lr0,
         half_life=args.half_life,
         init_scale=args.init_scale,
-        momentum=args.momentum,
         epochs=args.epochs,
         batch_size=args.batch_size,
     )
@@ -165,7 +164,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train", help="train one model")
     _add_training(p)
     p.add_argument("--lr0", type=float, required=True)
-    p.add_argument("--momentum", type=float, default=0.9)
     p.add_argument("--half-life", type=float, required=True)
     p.add_argument("--init-scale", type=float, required=True)
     p.set_defaults(fn=cmd_train)

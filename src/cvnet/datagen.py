@@ -57,6 +57,8 @@ NYQUIST = 0.5
 _PARTITION_STREAMS = {"train": 0, "val": 1, "test": 2}
 PARTITIONS = tuple(_PARTITION_STREAMS)
 
+_SIGNAL_FIELDS = {False: Field.REAL, True: Field.COMPLEX}  # a signal's field by its analytic flag
+
 
 class DatasetKind(str, Enum):
     SAWTOOTH = "sawtooth"
@@ -70,7 +72,7 @@ class DatasetKind(str, Enum):
 
     @property
     def field(self) -> Field:
-        return Field.COMPLEX if self.analytic else Field.REAL
+        return _SIGNAL_FIELDS[self.analytic]
 
 
 _KIND_TAGS = {
@@ -179,7 +181,7 @@ def _render(batch, out: np.ndarray, work: _Workspace) -> None:
         lo, j = hi, j + m
 
 
-def _render_rows(rows, count: int, analytic: bool) -> np.ndarray:
+def _render_rows(rows, count: int, field: Field) -> np.ndarray:
     """(count, 1024) samples, row i the sum of rows[i]'s (freqs, amps, phases) blocks.
 
     A block, of at most _BLOCK components, joins the pending batch, which is
@@ -189,7 +191,7 @@ def _render_rows(rows, count: int, analytic: bool) -> np.ndarray:
     # Zeros written up front: _render reads a row before writing it, and a page
     # of np.zeros faults on that read and again on the write (92k minor faults,
     # not 48k, for a 10000/1000/1000 inharmonic-analytic bundle on 4 KiB pages).
-    out = np.full((count, N_SAMPLES), 0.0, dtype=COMPLEX if analytic else np.float64)
+    out = np.full((count, N_SAMPLES), 0.0, dtype=field.dtype)
     work = _Workspace()
     batch, size = [], 0  # (component count, row, block) per pending block
     for row, blocks in enumerate(rows):
@@ -235,7 +237,7 @@ def synthesize(spec: WaveformSpec) -> np.ndarray:
     """
     blocks = ((spec.freqs[lo:lo + _BLOCK], spec.amps[lo:lo + _BLOCK], spec.phases[lo:lo + _BLOCK])
               for lo in range(0, len(spec.freqs), _BLOCK))
-    return _render_rows([blocks], 1, spec.analytic)[0]
+    return _render_rows([blocks], 1, _SIGNAL_FIELDS[spec.analytic])[0]
 
 
 # Each kind's draw order is stated once, in its generator, which yields the
@@ -335,7 +337,7 @@ def _gen_partition(kind, seed, stream, count):
     synthesize(draw_spec(kind, make_rng(seed, stream, i))).
     """
     drawn = (_draw(kind, make_rng(seed, stream, i)) for i in range(count))
-    return _render_rows(drawn, count, kind.analytic)
+    return _render_rows(drawn, count, kind.field)
 
 
 def generate_bundle(

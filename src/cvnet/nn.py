@@ -27,7 +27,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .complex_ops import COMPLEX, BlockFormat, Field, FormatError, make_rng, sample_circular_gaussian
-from .datagen import FRAME_LEN
 
 # ---------------------------------------------------------------------------
 # Activations
@@ -270,9 +269,7 @@ def init_model(
         return rng.normal(0.0, sigma, shape)
 
     params = {n: draw(n, s) for n, s in param_shapes(d_in, hidden, d_out).items()}
-    # Drawn in the files' stacked order and interleaved like a loaded checkpoint,
-    # so a seed's model, and the file it writes, follow the file format alone.
-    return RecurrentModel(field, activation, **_relayout(field, params, INTERLEAVED))
+    return RecurrentModel(field, activation, **params)
 
 
 def param_vars(model: RecurrentModel) -> dict[str, ad.Var]:
@@ -326,35 +323,18 @@ def forward_loss(
 # magic "CVNN", version u8, field u8, d_in/hidden/d_out u32 LE, activation u8,
 # then parameters in PARAM_ORDER as little-endian float64 (re, im) pairs,
 # in complex_ops.BlockFormat's container; float64 parameters of real-field
-# models are written with im = 0 and read back as float64. A real model's
-# 512-wide axes (w_in's columns, w_out's and b_out's rows) read and write
-# split analytic frames. In memory they follow datagen.build_views'
-# interleaved order, re x_0, im x_0, re x_1, ...; files keep the stacked
-# order re x_0 .. re x_255, im x_0 .. im x_255, so a file means the same
-# whichever order a model is held in (_relayout at the file boundary).
-# Position s of the stacked order holds the interleaved coordinate
-# STACKED[s]; INTERLEAVED is its inverse, so stacked = interleaved[STACKED].
+# models are written with im = 0 and read back as float64. Each parameter
+# is written as the model holds it: a real model's 512-wide axes (w_in's
+# columns, w_out's and b_out's rows) keep build_views' interleaved order
+# re x_0, im x_0, re x_1, ...; version 1 (stacked [re; im]) is refused.
 
-_FORMAT = BlockFormat("checkpoint", b"CVNN", "<BBIIIB", 1)
-_FRAME_AXES = {"w_in": 1, "w_out": 0, "b_out": 0}
-STACKED = np.arange(2 * FRAME_LEN).reshape(FRAME_LEN, 2).T.ravel()
-INTERLEAVED = np.argsort(STACKED)
-
-
-def _relayout(field: Field, params: Mapping[str, np.ndarray], order: np.ndarray) -> dict:
-    """params with each 512-wide frame axis of a real model permuted by order."""
-    out = dict(params)
-    if field is Field.REAL:
-        for name, axis in _FRAME_AXES.items():
-            if out[name].shape[axis] == 2 * FRAME_LEN:
-                out[name] = np.take(out[name], order, axis=axis)
-    return out
+_FORMAT = BlockFormat("checkpoint", b"CVNN", "<BBIIIB", 2)
 
 
 def save_model(model: RecurrentModel, path) -> None:
     header = (_FIELD_TAGS[model.field], model.d_in, model.hidden, model.d_out,
               _ACTIVATION_TAGS[model.activation])
-    _FORMAT.write(path, header, _relayout(model.field, model.params(), STACKED).values())
+    _FORMAT.write(path, header, model.params().values())
 
 
 def load_model(path) -> RecurrentModel:
@@ -370,9 +350,7 @@ def load_model(path) -> RecurrentModel:
         return [(name, shape, dtype) for name, shape in param_shapes(d_in, hidden, d_out).items()]
 
     (field_tag, *_, act_tag), arrays = _FORMAT.read(path, layout)
-    field = fields[field_tag]
     try:
-        return RecurrentModel(field=field, activation=acts[act_tag],
-                              **_relayout(field, arrays, INTERLEAVED))
+        return RecurrentModel(field=fields[field_tag], activation=acts[act_tag], **arrays)
     except ValueError as exc:  # the tags contradict each other or the content
         raise FormatError(f"inconsistent checkpoint: {exc}") from None

@@ -30,8 +30,8 @@ def dft_matrix(n: int) -> np.ndarray:
 
 
 def dft(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=COMPLEX)
-    return dft_matrix(x.shape[-1]) @ x if x.ndim == 1 else x @ dft_matrix(x.shape[-1]).T
+    """Spectrum of one signal, a 1-D x."""
+    return dft_matrix(len(x)) @ np.asarray(x, dtype=COMPLEX)
 
 
 def negative_bins(n: int) -> np.ndarray:

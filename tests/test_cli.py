@@ -181,7 +181,7 @@ def usage_files(tmp_path_factory, data_file):
     root = tmp_path_factory.mktemp("usage")
     files = {name: root / name
              for name in ("SHORT", "NOTRAIN", "NOVAL", "MODEL", "OUT", "MISSING", "NANMODEL",
-                          "INFDATA", "REALTAG", "IMAGDATA")}
+                          "INFDATA", "REALTAG", "IMAGDATA", "V1MODEL")}
     files["NODIR"] = root / "no-such-dir" / "x.cvds"
     files["DATA"] = data_file
     files["SHORT"].write_bytes(bytes(10))
@@ -195,6 +195,8 @@ def usage_files(tmp_path_factory, data_file):
     blob = bytearray(files["MODEL"].read_bytes())
     blob[5], blob[18] = 1, 3
     files["REALTAG"].write_bytes(bytes(blob))
+    blob[5], blob[18], blob[4] = 0, 0, 1  # the version byte of a format-1 checkpoint
+    files["V1MODEL"].write_bytes(bytes(blob))
     data = datagen.generate_bundle("sawtooth", 1, 2, 2, 2)
     data.train[1, 5] = np.inf
     datagen.write_dataset(data, files["INFDATA"])
@@ -260,6 +262,8 @@ class TestUsageErrors:
          f"cvnet eval: error: non-finite value in dataset train at byte {26 + 16 * 1029}"),
         (["eval", "--model", "MODEL", "--data", "IMAGDATA", "--partition", "test"],
          f"cvnet eval: error: nonzero imaginary part in dataset train at byte {26 + 16 * 1029 + 8}"),
+        (["eval", "--model", "V1MODEL", "--data", "DATA", "--partition", "val"],
+         "cvnet eval: error: unsupported checkpoint version 1 at byte 4"),
         (FILTERS + ["--model", "REALTAG"],
          "cvnet filters: error: nonzero imaginary part in checkpoint w_in at byte 27"),
         (TRAIN + ["--data", "DATA", "--hidden", "4", "--init-scale", "nan"],
@@ -272,7 +276,8 @@ class TestUsageErrors:
             "filters-rows-too-many", "eval-missing-model", "gen-missing-out-dir",
             "eval-nan-checkpoint", "filters-nan-checkpoint", "search-inf-sample",
             "eval-test-inf-in-train", "eval-test-corrupt-byte-in-train",
-            "filters-real-tag-complex-params", "train-init-scale-nan"])
+            "eval-version-1-checkpoint", "filters-real-tag-complex-params",
+            "train-init-scale-nan"])
     def test_one_line_and_exit_two(self, argv, message, usage_files):
         # A bad setting or input file is a usage error, not a traceback.
         proc = cli_subprocess([str(usage_files.get(a, a)) for a in argv])

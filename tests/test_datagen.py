@@ -216,7 +216,7 @@ class TestFactoredSynthesis:
 
         tracemalloc.start()
         try:
-            got = dg._render_rows([blocks()], 1, False)
+            got = dg._render_rows([blocks()], 1, Field.REAL)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -682,10 +682,6 @@ class TestModelViews:
         np.testing.assert_array_equal(frames[0][1::2, 0], bundle.train[0, :256].imag)
         np.testing.assert_array_equal(target[0::2, 1], bundle.train[1, 768:].real)
         np.testing.assert_array_equal(target[1::2, 1], bundle.train[1, 768:].imag)
-        # STACKED and INTERLEAVED move between this order and [re; im].
-        stacked = np.concatenate([bundle.train[0, :256].real, bundle.train[0, :256].imag])
-        np.testing.assert_array_equal(frames[0][nn.STACKED, 0], stacked)
-        np.testing.assert_array_equal(stacked[nn.INTERLEAVED], frames[0][:, 0])
 
     def test_real_view_of_analytic_samples_in_any_memory_order(self):
         # Column-major samples are copied once, into rows that can be read

@@ -9,7 +9,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvnet import autodiff as ad
-from cvnet import datagen as dg
 from cvnet import nn
 from cvnet.complex_ops import FormatError, make_rng, sample_circular_gaussian
 
@@ -586,6 +585,29 @@ class TestCheckpoint:
         nn.save_model(loaded, tmp_path / "again.cvnn")
         assert (tmp_path / "again.cvnn").read_bytes() == path.read_bytes()
 
+    def test_version_1_file_is_refused(self, tmp_path):
+        # Format 1 stored a real model's 512-wide axes in another order; such
+        # a file is refused by its version byte, never misread.
+        p = tmp_path / "m.cvnn"
+        nn.save_model(nn.init_model(4, 3, 4, field="complex", seed=9), p)
+        blob = bytearray(p.read_bytes())
+        blob[4] = 1
+        p.write_bytes(bytes(blob))
+        with pytest.raises(FormatError, match="^unsupported checkpoint version 1 at byte 4$"):
+            nn.load_model(p)
+
+    def test_real_frame_axes_are_written_as_held(self, tmp_path):
+        # A real 512-wide model's w_in, w_out and b_out blocks hold its arrays
+        # in build_views' interleaved order, bit for bit.
+        m = nn.init_model(512, 5, 512, field="real", init_scale=0.9, seed=8)
+        m.b_out[:] = make_rng(22).normal(size=m.b_out.shape)  # biases start at zero
+        p = tmp_path / "m.cvnn"
+        nn.save_model(m, p)
+        shapes = nn.param_shapes(512, 5, 512)
+        _, blocks = nn._FORMAT.read(p, lambda *_: [(n, s, np.float64) for n, s in shapes.items()])
+        for name in ("w_in", "w_out", "b_out"):
+            assert blocks[name].tobytes() == m.params()[name].tobytes(), name
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "bad.cvnn"
         p.write_bytes(b"XXXX" + bytes(32))
@@ -647,29 +669,3 @@ class TestCheckpoint:
             assert arr.dtype == np.float64, name
             np.testing.assert_array_equal(arr, m.params()[name])
 
-    def test_stacked_layout_file_predicts_the_same_on_interleaved_views(self, tmp_path):
-        # A real 512-wide model written straight through the container, in the
-        # files' stacked [re; im] order, loads with its frame axes interleaved:
-        # on build_views' frames it predicts what it predicted on
-        # concatenated [re; im] frames, and it saves back to the same bytes.
-        rng = make_rng(21)
-        old = nn.RecurrentModel("real", nn.ActivationKind.REAL_TANH, **{
-            name: rng.normal(0.0, 0.05, shape) for name, shape in nn.param_shapes(512, 6, 512).items()
-        })
-        path = tmp_path / "stacked.cvnn"
-        header = (nn._FIELD_TAGS["real"], 512, 6, 512, nn._ACTIVATION_TAGS[old.activation])
-        nn._FORMAT.write(path, header, old.params().values())
-        loaded = nn.load_model(path)
-
-        kind = dg.DatasetKind.INHARMONIC_ANALYTIC
-        samples = dg.generate_bundle(kind, 23, 5, 1, 1).train
-        stacked = [np.concatenate([f.real, f.imag]) for f in
-                   (samples[:, i * 256 : (i + 1) * 256].T for i in range(3))]
-        want = nn.predict_frame(nn.param_vars(old), stacked, old.activation).value
-        frames, _ = dg.build_views(samples, kind, "real")
-        got = nn.predict_frame(nn.param_vars(loaded), frames, loaded.activation).value
-        np.testing.assert_allclose(got[nn.STACKED], want)
-        np.testing.assert_array_equal(loaded.w_in[:, nn.STACKED], old.w_in)
-        np.testing.assert_array_equal(loaded.b_out[nn.STACKED], old.b_out)
-        nn.save_model(loaded, tmp_path / "again.cvnn")
-        assert (tmp_path / "again.cvnn").read_bytes() == path.read_bytes()

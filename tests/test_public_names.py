@@ -1,25 +1,30 @@
-"""Every public function, class, method and property in the package has a caller.
+"""Every public function, class, method, property and optional flag has a caller.
 
 A module-level def or class whose name does not start with "_" counts as
 used when its name appears as an ast.Name, the attr of an ast.Attribute
 or an imported name anywhere in the package, the scripts, the benchmark
 or the acceptance tests. So does a public method or property of a public
 class, by its own name (Field.cast by any ".cast"). Unit tests do not
-count: a public name that only they call is dead code.
+count: a public name that only they call is dead code. An optional
+`cvnet` flag counts as used when it appears as a string constant in the
+scripts, the benchmark or the acceptance tests.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 import pytest
 
+from cvnet import cli
+
 ROOT = Path(__file__).resolve().parents[1]
-CALLERS = [
-    *sorted((ROOT / "src" / "cvnet").glob("*.py")),
+OUTSIDE_CALLERS = [
     *sorted((ROOT / "scripts").glob("*.py")),
     *sorted((ROOT / "perfbench").glob("*.py")),
     ROOT / "tests" / "test_acceptance.py",
 ]
+CALLERS = [*sorted((ROOT / "src" / "cvnet").glob("*.py")), *OUTSIDE_CALLERS]
 DEFS = (ast.FunctionDef, ast.AsyncFunctionDef)
 
 
@@ -52,6 +57,21 @@ def used_names(path):
         elif isinstance(node, ast.alias):
             used.add(node.name.rpartition(".")[2])
     return used
+
+
+def string_constants(path):
+    return {node.value for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+
+
+def test_every_optional_cvnet_flag_has_a_caller():
+    used = set().union(*(string_constants(path) for path in OUTSIDE_CALLERS))
+    commands = next(a for a in cli.build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    unused = [f"{name} {flag}" for name, parser in commands.items() for action in parser._actions
+              if not action.required and not isinstance(action, argparse._HelpAction)
+              for flag in action.option_strings if flag.startswith("--") and flag not in used]
+    assert not unused, f"optional cvnet flags with no caller outside the unit tests: {unused}"
 
 
 def test_every_public_name_has_a_caller():
